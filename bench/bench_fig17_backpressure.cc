@@ -14,8 +14,7 @@
 
 #include "bench_common.hh"
 #include "apps/profiles.hh"
-#include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
+#include "obs/autoscaler.hh"
 #include "obs/culprit.hh"
 #include "obs/pipeline.hh"
 #include "workload/generators.hh"
@@ -60,12 +59,10 @@ runCase(bool degraded_backend, double qps, const char *label)
     app.setQosLatency(5 * kTicksPerMs);
     app.validate();
 
-    manager::Monitor mon(app, secToTicks(1.0));
-    mon.start();
-
-    // SLO monitor on the end-to-end stream: the same 5ms QoS target
-    // the autoscaler chases, evaluated per interval, so the localizer
-    // can name the tier that degraded first in each case.
+    // One telemetry path feeds both the autoscaler and the SLO
+    // monitor on the end-to-end stream: the same 5ms QoS target the
+    // autoscaler chases, evaluated per interval, so the localizer can
+    // name the tier that degraded first in each case.
     obs::PipelineConfig pc;
     pc.interval = secToTicks(1.0);
     pc.ring = 128;
@@ -74,13 +71,10 @@ runCase(bool degraded_backend, double qps, const char *label)
     obs::Pipeline pipe(app, pc);
     pipe.start();
 
-    manager::AutoScaler::Config cfg;
-    cfg.threshold = 0.7;
-    cfg.interval = secToTicks(1.0);
+    obs::AutoScaler::Config cfg;
     cfg.startupDelay = secToTicks(3.0);
     cfg.cooldown = secToTicks(10.0);
-    cfg.signal = manager::AutoScaler::Signal::ThreadOccupancy;
-    manager::AutoScaler scaler(app, mon, cfg, [&]() -> cpu::Server & {
+    obs::AutoScaler scaler(pipe, cfg, [&]() -> cpu::Server & {
         return w->nextWorker();
     });
     scaler.watch("nginx");
@@ -120,12 +114,15 @@ runCase(bool degraded_backend, double qps, const char *label)
                      "drops"});
     for (int t = 4; t <= 60; t += 4) {
         w->sim.runUntil(secToTicks(static_cast<double>(t)));
-        const auto n = mon.latest("nginx");
-        const auto m = mon.latest("memcached");
+        const obs::IntervalSample &n =
+            pipe.store().find("nginx")->latest();
+        const obs::IntervalSample &m =
+            pipe.store().find("memcached")->latest();
         table.add(t, fmtDouble(ticksToMs(n.p99), 2),
                   fmtDouble(ticksToMs(m.p99), 2),
-                  fmtDouble(n.occupancy, 2), fmtDouble(n.cpuUtil, 2),
-                  n.instances, app.droppedRequests());
+                  fmtDouble(n.occupancy, 2), fmtDouble(n.utilization, 2),
+                  app.service("nginx").activeInstances(),
+                  app.droppedRequests());
     }
     printBanner(std::cout, label);
     table.print(std::cout);

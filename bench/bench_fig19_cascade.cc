@@ -8,10 +8,10 @@
  * blocked on the saturated back-end.
  */
 
+#include <algorithm>
 #include <map>
 
 #include "bench_common.hh"
-#include "manager/monitor.hh"
 #include "obs/culprit.hh"
 #include "obs/pipeline.hh"
 #include "trace/analysis.hh"
@@ -30,6 +30,39 @@ const std::vector<std::string> kTierOrder = {
     "php-fpm",       "nginx-lb",
 };
 
+/**
+ * Baseline mean latency per tier: the median of the interval means
+ * over the first @p samples intervals that saw traffic, the
+ * denominator of the "latency increase %" view.
+ */
+std::map<std::string, double>
+baselineLatency(const obs::TimeSeriesStore &store, std::size_t samples)
+{
+    std::map<std::string, double> out;
+    for (const std::string &name : store.names()) {
+        const obs::Series &series = *store.find(name);
+        std::vector<double> means;
+        for (std::size_t i = 0; i < std::min(samples, series.size()); ++i)
+            if (series.at(i).meanLatencyNs > 0.0)
+                means.push_back(series.at(i).meanLatencyNs);
+        if (means.empty())
+            continue;
+        std::sort(means.begin(), means.end());
+        out[name] = means[means.size() / 2];
+    }
+    return out;
+}
+
+/** The sample of @p series closing at @p end, or null. */
+const obs::IntervalSample *
+sampleEndingAt(const obs::Series &series, Tick end)
+{
+    for (std::size_t i = 0; i < series.size(); ++i)
+        if (series.at(i).end == end)
+            return &series.at(i);
+    return nullptr;
+}
+
 } // namespace
 
 int
@@ -45,12 +78,10 @@ main()
     apps::buildSocialNetwork(*w, opt);
     service::App &app = *w->app;
 
-    manager::Monitor mon(app, secToTicks(5.0));
-    mon.start();
-
-    // The online observability pipeline watches the same run: an SLO
-    // on end-to-end latency plus per-tier interval series, so the
-    // localizer can answer "which tier degraded first" afterwards.
+    // The online observability pipeline watches the run: per-tier
+    // interval series for the latency and utilization grids, plus an
+    // SLO on end-to-end latency, so the localizer can answer "which
+    // tier degraded first" afterwards.
     obs::PipelineConfig pc;
     pc.interval = secToTicks(1.0);
     pc.ring = 256;
@@ -73,33 +104,25 @@ main()
     w->cluster.server(hot_server).setSlowFactor(14.0);
     w->sim.runUntil(secToTicks(180.0));
 
-    const auto baseline = mon.baselineLatency(10);
+    // Baseline over the healthy first 50 s.
+    const auto baseline = baselineLatency(pipe.store(), 50);
 
     // (a) latency increase over baseline, per tier over time.
     TextTable lat({"tier \\ t(s)", "30", "60", "90", "120", "150", "180"});
     TextTable util({"tier \\ t(s)", "30", "60", "90", "120", "150", "180"});
-    std::map<std::string, std::map<int, const manager::TierSample *>> grid;
-    for (const auto &round : mon.history())
-        for (const auto &s : round)
-            grid[s.service][static_cast<int>(ticksToSec(s.time))] = &s;
-
     for (const std::string &tier : kTierOrder) {
         std::vector<std::string> lrow{tier}, urow{tier};
         for (int t : {30, 60, 90, 120, 150, 180}) {
-            const manager::TierSample *sample = nullptr;
-            for (int dt = 0; dt < 6 && !sample; ++dt) {
-                auto it = grid[tier].find(t - dt);
-                if (it != grid[tier].end())
-                    sample = it->second;
-            }
-            if (!sample || !baseline.count(tier) ||
-                baseline.at(tier) <= 0.0) {
+            const obs::IntervalSample *sample = sampleEndingAt(
+                *pipe.store().find(tier),
+                secToTicks(static_cast<double>(t)));
+            if (!sample || !baseline.count(tier)) {
                 lrow.push_back("-");
                 urow.push_back("-");
                 continue;
             }
             const double incr =
-                100.0 * (sample->meanLatency / baseline.at(tier) - 1.0);
+                100.0 * (sample->meanLatencyNs / baseline.at(tier) - 1.0);
             lrow.push_back(fmtDouble(std::max(0.0, incr), 0) + "%");
             urow.push_back(fmtDouble(100.0 * sample->occupancy, 0) + "%");
         }

@@ -7,8 +7,7 @@
  */
 
 #include "bench_common.hh"
-#include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
+#include "obs/autoscaler.hh"
 #include "serverless/platform.hh"
 #include "workload/generators.hh"
 
@@ -125,17 +124,16 @@ diurnalPanel()
     auto ec2 = makeWorld(8);
     apps::buildSocialNetwork(*ec2);
     apps::throttleLogicTiers(*ec2->app, 24, 2);
-    manager::Monitor mon(*ec2->app, secToTicks(5.0));
-    mon.start();
-    manager::AutoScaler::Config cfg;
-    cfg.threshold = 0.7;
-    cfg.interval = secToTicks(5.0);
+    obs::PipelineConfig pc;
+    pc.interval = secToTicks(5.0);
+    obs::Pipeline pipe(*ec2->app, pc);
+    pipe.start();
+    obs::AutoScaler::Config cfg;
     cfg.startupDelay = secToTicks(60.0); // EC2 instance boot time
     cfg.cooldown = secToTicks(10.0);
-    manager::AutoScaler scaler(*ec2->app, mon, cfg,
-                               [&]() -> cpu::Server & {
-                                   return ec2->nextWorker();
-                               });
+    obs::AutoScaler scaler(pipe, cfg, [&]() -> cpu::Server & {
+        return ec2->nextWorker();
+    });
     scaler.watchAllStateless();
     scaler.start();
     workload::OpenLoopGenerator gen_ec2(

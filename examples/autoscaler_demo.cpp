@@ -1,9 +1,8 @@
 /**
  * @file
  * Example: cluster-management machinery. Runs the E-commerce site into
- * a load spike with a utilization-threshold autoscaler attached and
- * prints the reaction timeline - then repeats with rate limiting as
- * the recovery mechanism instead.
+ * a load spike with a utilization-threshold autoscaler attached to the
+ * telemetry pipeline and prints the reaction timeline.
  *
  *   $ ./build/examples/autoscaler_demo
  */
@@ -12,10 +11,8 @@
 
 #include "apps/ecommerce.hh"
 #include "core/table.hh"
-#include "manager/autoscaler.hh"
-#include "manager/monitor.hh"
-#include "manager/qos.hh"
-#include "manager/rate_limiter.hh"
+#include "obs/autoscaler.hh"
+#include "obs/pipeline.hh"
 #include "workload/generators.hh"
 
 using namespace uqsim;
@@ -29,18 +26,22 @@ main()
     apps::buildEcommerce(world);
     service::App &app = *world.app;
 
-    manager::Monitor monitor(app, secToTicks(5.0));
-    monitor.start();
+    // Per-tier series every 5s; the SLO flags the first interval whose
+    // front-end p99 exceeds the app's QoS target.
+    obs::PipelineConfig pc;
+    pc.interval = secToTicks(5.0);
+    pc.slo.tier = app.entry();
+    pc.slo.latency = app.config().qosLatency;
+    pc.slo.window = 1;
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
 
-    manager::AutoScaler::Config cfg;
-    cfg.threshold = 0.7;
-    cfg.interval = secToTicks(5.0);
+    obs::AutoScaler::Config cfg;
     cfg.startupDelay = secToTicks(15.0);
     cfg.cooldown = secToTicks(20.0);
-    manager::AutoScaler scaler(app, monitor, cfg,
-                               [&]() -> cpu::Server & {
-                                   return world.nextWorker();
-                               });
+    obs::AutoScaler scaler(pipe, cfg, [&]() -> cpu::Server & {
+        return world.nextWorker();
+    });
     scaler.watchAllStateless();
     scaler.start();
 
@@ -56,36 +57,33 @@ main()
 
     TextTable table({"t(s)", "front-end p99(ms)", "orders p99(ms)",
                      "queueMaster p99(ms)", "instances added"});
-    for (const auto &round : monitor.history()) {
-        const int t = static_cast<int>(ticksToSec(round[0].time));
+    const obs::Series &fe = *pipe.store().find("front-end");
+    const obs::Series &orders = *pipe.store().find("orders");
+    const obs::Series &qm = *pipe.store().find("queueMaster");
+    for (std::size_t i = 0; i < fe.size(); ++i) {
+        const Tick end = fe.at(i).end;
+        const int t = static_cast<int>(ticksToSec(end));
         if (t % 20 != 0)
             continue;
-        manager::TierSample fe, orders, qm;
-        for (const auto &s : round) {
-            if (s.service == "front-end")
-                fe = s;
-            if (s.service == "orders")
-                orders = s;
-            if (s.service == "queueMaster")
-                qm = s;
-        }
         std::size_t added = 0;
         for (const auto &e : scaler.events())
-            if (e.time <= round[0].time)
+            if (e.time <= end)
                 ++added;
-        table.add(t, fmtDouble(ticksToMs(fe.p99), 1),
-                  fmtDouble(ticksToMs(orders.p99), 1),
-                  fmtDouble(ticksToMs(qm.p99), 1), added);
+        table.add(t, fmtDouble(ticksToMs(fe.at(i).p99), 1),
+                  fmtDouble(ticksToMs(orders.at(i).p99), 1),
+                  fmtDouble(ticksToMs(qm.at(i).p99), 1), added);
     }
     std::cout << "E-commerce flash sale with autoscaling "
                  "(spike at t=60s):\n";
     table.print(std::cout);
 
-    manager::QosTracker qos(app, monitor, app.config().qosLatency);
-    const Tick detect = qos.firstEndToEndViolation();
-    std::cout << "\nQoS violation detected at t="
-              << fmtDouble(ticksToSec(detect), 0) << "s; "
-              << scaler.events().size() << " scale-outs:";
+    const Tick detect = pipe.slo().firstViolationTime();
+    if (detect)
+        std::cout << "\nQoS violation detected at t="
+                  << fmtDouble(ticksToSec(detect), 0) << "s; ";
+    else
+        std::cout << "\nNo QoS violation; ";
+    std::cout << scaler.events().size() << " scale-outs:";
     for (const auto &e : scaler.events())
         std::cout << " " << e.service << "@t="
                   << fmtDouble(ticksToSec(e.time), 0) << "s";

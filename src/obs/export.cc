@@ -32,6 +32,7 @@ emitSampleJson(std::ostream &os, const IntervalSample &s)
        << ",\"error_rate\":" << fmt(s.errorRate)
        << ",\"queue_depth\":" << fmt(s.queueDepth)
        << ",\"in_flight\":" << fmt(s.inFlight)
+       << ",\"occupancy\":" << fmt(s.occupancy)
        << ",\"utilization\":" << fmt(s.utilization)
        << ",\"hit_ratio\":" << fmt(s.hitRatio)
        << ",\"replica_lag_ns\":" << fmt(s.replicaLagNs)
@@ -81,8 +82,9 @@ writeTimeSeriesCsv(const TimeSeriesStore &store, std::ostream &os)
 {
     os << "series,start_ns,end_ns,count,errors,admission_rejects,"
           "cache_lookups,stale_reads,quorum_lost,txn_aborts,rps,"
-          "error_rate,queue_depth,in_flight,utilization,hit_ratio,"
-          "replica_lag_ns,mean_latency_ns,p50_ns,p95_ns,p99_ns\n";
+          "error_rate,queue_depth,in_flight,occupancy,utilization,"
+          "hit_ratio,replica_lag_ns,mean_latency_ns,p50_ns,p95_ns,"
+          "p99_ns\n";
     for (const std::string &name : store.names()) {
         const Series *s = store.find(name);
         for (std::size_t i = 0; i < s->size(); ++i) {
@@ -94,8 +96,9 @@ writeTimeSeriesCsv(const TimeSeriesStore &store, std::ostream &os)
                << "," << row.txnAborts << "," << fmt(row.rps) << ","
                << fmt(row.errorRate) << "," << fmt(row.queueDepth)
                << "," << fmt(row.inFlight) << ","
-               << fmt(row.utilization) << "," << fmt(row.hitRatio)
-               << "," << fmt(row.replicaLagNs) << ","
+               << fmt(row.occupancy) << "," << fmt(row.utilization)
+               << "," << fmt(row.hitRatio) << ","
+               << fmt(row.replicaLagNs) << ","
                << fmt(row.meanLatencyNs) << "," << row.p50 << ","
                << row.p95 << "," << row.p99 << "\n";
         }
@@ -147,7 +150,8 @@ perfettoCounterEvents(const TimeSeriesStore &store)
             os << "{\"ph\":\"C\",\"pid\":0,\"name\":\"" << name
                << "/load\",\"ts\":" << fmt(ts)
                << ",\"args\":{\"queue_depth\":" << fmt(row.queueDepth)
-               << ",\"in_flight\":" << fmt(row.inFlight) << "}}";
+               << ",\"in_flight\":" << fmt(row.inFlight)
+               << ",\"occupancy\":" << fmt(row.occupancy) << "}}";
             sep();
             os << "{\"ph\":\"C\",\"pid\":0,\"name\":\"" << name
                << "/rate\",\"ts\":" << fmt(ts)

@@ -43,7 +43,7 @@ std::string toTimeSeriesCsv(const TimeSeriesStore &store);
 /**
  * Render @p store as Chrome trace_event counter events: for every
  * series, per sample, one "latency_ns" event (p50/p95/p99), one
- * "load" event (queue depth / in-flight) and one "rate" event
+ * "load" event (queue depth / in-flight / occupancy) and one "rate" event
  * (rps / error rate / utilization), all on a dedicated pid-0
  * "observability" process. The result is a comma-separated fragment
  * of complete JSON objects (no leading/trailing comma) for

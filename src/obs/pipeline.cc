@@ -106,9 +106,9 @@ Pipeline::sampleAt(Tick boundary)
         s.start = start;
         s.end = boundary;
 
-        // Cumulative-counter deltas, Monitor-style: a counter that
-        // shrank was reset (statReset after warmup), in which case the
-        // current value *is* the delta since the reset.
+        // Cumulative-counter deltas: a counter that shrank was reset
+        // (statReset after warmup), in which case the current value
+        // *is* the delta since the reset.
         std::uint64_t served = 0, failed = 0;
         unsigned active = 0;
         Tick busy = 0;
@@ -141,6 +141,7 @@ Pipeline::sampleAt(Tick boundary)
                                : 0.0;
         s.queueDepth = svc->meanQueueLength();
         s.inFlight = svc->meanInFlight();
+        s.occupancy = svc->meanOccupancy();
         const double capacity =
             static_cast<double>(interval) *
             static_cast<double>(svc->def().threadsPerInstance) *

@@ -60,6 +60,11 @@ struct IntervalSample
     double queueDepth = 0.0;
     /** Mean in-flight RPCs across active instances at the boundary. */
     double inFlight = 0.0;
+    /**
+     * Mean worker-thread occupancy (busy or blocked) across active
+     * instances at the boundary, in [0,1]: the autoscaler's signal.
+     */
+    double occupancy = 0.0;
     /** Busy-time delta over capacity (interval * threads), in [0,1]. */
     double utilization = 0.0;
     /** Keyed-cache hit ratio over the interval (0 without lookups). */

@@ -952,8 +952,6 @@ App::rpcAttempt(unsigned caller_server, Instance *caller_inst,
                         Microservice &svc = ctx->inst->svc();
                         if (status == RpcStatus::Ok) {
                             svc.mutableLatency().record(dur);
-                            svc.latencyWindow().record(app->ctx_.now(),
-                                                       dur);
                             ++ctx->inst->served_;
                             if (app->obsTap_)
                                 app->obsTap_->onTierLatency(svc, dur);
@@ -1253,7 +1251,6 @@ App::serveRemote(const RemoteCall &call,
                 Microservice &svc = ctx->inst->svc();
                 if (status == RpcStatus::Ok) {
                     svc.mutableLatency().record(dur);
-                    svc.latencyWindow().record(app->ctx_.now(), dur);
                     ++ctx->inst->served_;
                     if (app->obsTap_)
                         app->obsTap_->onTierLatency(svc, dur);

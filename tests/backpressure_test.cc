@@ -4,12 +4,21 @@
  * behind a blocking HTTP/1 pool parks the caller's worker threads, so
  * the caller looks saturated (high occupancy, long queues) while its
  * CPU idles - the signal combination that fools utilization-based
- * autoscalers in Fig 17B.
+ * autoscalers in Fig 17B. The autoscaler tests close the loop: the
+ * occupancy-driven scaler fixes genuine front-end saturation (Fig 17A)
+ * and scales the blocked front-end, to no avail, when the back-end is
+ * the bottleneck (Fig 17B).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "apps/builder.hh"
+#include "obs/autoscaler.hh"
+#include "obs/pipeline.hh"
 #include "service/app.hh"
 #include "workload/generators.hh"
 
@@ -18,7 +27,10 @@ namespace {
 
 struct TwoTier
 {
-    explicit TwoTier(bool blocking, double backend_us)
+    /** nginx defaults to ~21us of work on 32 threads. */
+    TwoTier(bool blocking, double backend_us,
+            double frontend_cycles = 30000.0,
+            unsigned frontend_threads = 32)
         : world(makeConfig())
     {
         App &app = *world.app;
@@ -35,8 +47,9 @@ struct TwoTier
         ServiceDef front;
         front.name = "nginx";
         front.kind = ServiceKind::Frontend;
-        front.handler.compute(Dist::constant(30000.0)).call("memcached");
-        front.threadsPerInstance = 32;
+        front.handler.compute(Dist::constant(frontend_cycles))
+            .call("memcached");
+        front.threadsPerInstance = frontend_threads;
         app.addService(std::move(front)).addInstance(world.worker(0));
         app.setEntry("nginx");
         app.addQueryType({"read", 1, 1.0, 0, {}});
@@ -124,6 +137,112 @@ TEST(BackpressureTest, PoolWaitersAccumulateUnderOverload)
     t.world.sim.runFor(kTicksPerSec);
     // End-to-end tail blows up (Fig 17B's latency explosion).
     EXPECT_GT(t.world.app->endToEndLatency().p99(), 10 * kTicksPerMs);
+}
+
+/** One autoscaled run: the scaler's decisions and nginx's series. */
+struct ScaledRun
+{
+    std::vector<obs::ScaleEvent> events;
+    /** nginx interval samples, oldest first. */
+    std::vector<obs::IntervalSample> nginx;
+};
+
+constexpr Tick kStepAt = kTicksPerSec;
+constexpr Tick kTarget = 5 * kTicksPerMs;
+
+/**
+ * Drive @p t at @p qps with the occupancy scaler watching nginx and
+ * placing new instances on server @p spare; apply @p step at kStepAt
+ * and run to 5 s.
+ */
+ScaledRun
+runAutoscaled(TwoTier &t, double qps, unsigned spare,
+              const std::function<void(workload::OpenLoopGenerator &)>
+                  &step)
+{
+    App &app = *t.world.app;
+    obs::PipelineConfig pc;
+    pc.interval = 250 * kTicksPerMs;
+    obs::Pipeline pipe(app, pc);
+    pipe.start();
+    obs::AutoScaler::Config cfg;
+    cfg.startupDelay = 500 * kTicksPerMs;
+    cfg.cooldown = kTicksPerSec;
+    obs::AutoScaler scaler(pipe, cfg, [&]() -> cpu::Server & {
+        return t.world.worker(spare);
+    });
+    scaler.watch("nginx");
+    scaler.start();
+
+    workload::OpenLoopGenerator gen(
+        app, workload::QueryMix({1.0}),
+        workload::UserPopulation::uniform(100), 1);
+    gen.setQps(qps);
+    gen.start();
+    t.world.sim.runUntil(kStepAt);
+    step(gen);
+    t.world.sim.runUntil(5 * kTicksPerSec);
+
+    ScaledRun out;
+    out.events = scaler.events();
+    const obs::Series &nginx = *pipe.store().find("nginx");
+    for (std::size_t i = 0; i < nginx.size(); ++i)
+        out.nginx.push_back(nginx.at(i));
+    return out;
+}
+
+TEST(BackpressureTest, ScalingTheSaturatedFrontendRestoresQos)
+{
+    // Fig 17 case A: nginx itself is the bottleneck (1ms of work on 8
+    // threads, ~6k QPS) and the load steps past it. Its threads fill,
+    // the scaler adds nginx, and the tail comes back under the target.
+    TwoTier t(/*blocking=*/true, /*backend_us=*/80.0,
+              /*frontend_cycles=*/1000.0 * 1440.0, /*frontend_threads=*/8);
+    const ScaledRun r =
+        runAutoscaled(t, 2000.0, /*spare=*/0,
+                      [](workload::OpenLoopGenerator &gen) {
+                          gen.setQps(9000.0);
+                      });
+    ASSERT_FALSE(r.events.empty());
+    EXPECT_EQ(r.events.front().service, "nginx");
+    bool violated = false;
+    for (const obs::IntervalSample &s : r.nginx)
+        violated |= s.end > kStepAt && s.p99 > kTarget;
+    EXPECT_TRUE(violated) << "the load step never saturated nginx";
+    EXPECT_LE(r.nginx.back().p99, kTarget)
+        << "scaling out nginx did not restore the target";
+}
+
+TEST(BackpressureTest, ScalingTheBlockedFrontendDoesNotRecover)
+{
+    // Fig 17 case B: memcached's server slows 100x, capping memcached
+    // far below the offered load. nginx's threads park on the HTTP/1
+    // pool, so nginx looks saturated with an idle CPU; the scaler adds
+    // nginx instances, which only feed the real bottleneck, and
+    // nginx's tail never returns under the target.
+    TwoTier t(/*blocking=*/true, /*backend_us=*/80.0);
+    App &app = *t.world.app;
+    const unsigned mc_server =
+        app.service("memcached").instances()[0]->server().id();
+    const ScaledRun r =
+        runAutoscaled(t, 3000.0, /*spare=*/0,
+                      [&](workload::OpenLoopGenerator &) {
+                          t.world.cluster.server(mc_server)
+                              .setSlowFactor(100.0);
+                      });
+    ASSERT_FALSE(r.events.empty());
+    for (const obs::ScaleEvent &e : r.events)
+        EXPECT_EQ(e.service, "nginx");
+    const Tick first_scale = r.events.front().time;
+    for (const obs::IntervalSample &s : r.nginx) {
+        if (s.end == first_scale) {
+            EXPECT_GE(s.occupancy, obs::AutoScaler::kThreshold);
+            EXPECT_LT(s.utilization, 0.2) << "nginx should be blocked";
+        }
+        if (s.end > first_scale) {
+            EXPECT_GT(s.p99, kTarget) << "recovered at " << s.end;
+        }
+    }
 }
 
 } // namespace

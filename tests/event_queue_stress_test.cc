@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -46,6 +47,15 @@ struct StressProfile
     std::vector<Tick> delaySpans;
     std::uint64_t seed;
 };
+
+// Without this, gtest prints the profile's raw bytes (including the
+// name pointer) into the listed test name, so the name changed with
+// every run under ASLR.
+void
+PrintTo(const StressProfile &p, std::ostream *os)
+{
+    *os << p.name << ", seed " << p.seed;
+}
 
 class EventQueueStressTest
     : public ::testing::TestWithParam<StressProfile>

@@ -6,7 +6,7 @@
  * bit for bit), seed determinism and thread-count invariance of the
  * exported series, the sketch-vs-exact percentile contract on a live
  * request stream, the Perfetto counter-track export, the scenario
- * `slo:` block round-trip, and the Monitor's in-flight gauge.
+ * `slo:` block round-trip, and the in-flight and occupancy columns.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "apps/builder.hh"
 #include "apps/scenario.hh"
 #include "core/json.hh"
-#include "manager/monitor.hh"
 #include "obs/export.hh"
 #include "obs/pipeline.hh"
 #include "obs/sketch.hh"
@@ -356,13 +355,12 @@ TEST(ObsIntegrationTest, ScenarioSloBlockRoundTripsByteStable)
     EXPECT_NE(error.find("slo.typo"), std::string::npos);
 }
 
-// -- Monitor in-flight gauge -------------------------------------------
+// -- Boundary load columns -------------------------------------------
 
-TEST(ObsIntegrationTest, MonitorPublishesInFlightGauge)
+/** A frontend -> backend pair slow enough to hold requests in flight. */
+void
+buildSlowPair(apps::World &w)
 {
-    apps::WorldConfig c;
-    c.workerServers = 2;
-    apps::World w(c);
     service::App &app = *w.app;
     service::ServiceDef back;
     back.name = "backend";
@@ -380,21 +378,64 @@ TEST(ObsIntegrationTest, MonitorPublishesInFlightGauge)
     app.setEntry("frontend");
     app.addQueryType({"read", 1, 1.0, 0, {}});
     app.validate();
+}
 
-    manager::Monitor mon(app, 100 * kTicksPerMs);
-    mon.start();
+TEST(ObsIntegrationTest, SeriesRecordInFlightRequests)
+{
+    apps::WorldConfig c;
+    c.workerServers = 2;
+    apps::World w(c);
+    buildSlowPair(w);
+
+    obs::PipelineConfig pc;
+    pc.interval = 100 * kTicksPerMs;
+    obs::Pipeline pipe(*w.app, pc);
+    pipe.start();
     workload::OpenLoopGenerator gen(
-        app, workload::QueryMix({1.0}),
+        *w.app, workload::QueryMix({1.0}),
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(1000.0);
     gen.start();
     w.sim.runUntil(kTicksPerSec);
 
-    EXPECT_GT(mon.latest("backend").inFlight, 0.0);
-    EXPECT_GT(
-        app.metrics().gauge("monitor.in_flight.backend").value(), 0.0);
-    EXPECT_GE(
-        app.metrics().gauge("monitor.in_flight.frontend").value(), 0.0);
+    EXPECT_GT(pipe.store().find("backend")->latest().inFlight, 0.0);
+    EXPECT_GE(pipe.store().find("frontend")->latest().inFlight, 0.0);
+}
+
+TEST(ObsIntegrationTest, OccupancyColumnMatchesMeanOccupancy)
+{
+    apps::WorldConfig c;
+    c.workerServers = 2;
+    apps::World w(c);
+    buildSlowPair(w);
+
+    obs::PipelineConfig pc;
+    pc.interval = 100 * kTicksPerMs;
+    obs::Pipeline pipe(*w.app, pc);
+    pipe.start();
+    // A second observer on the same grid fires right after the
+    // pipeline's, on the same world state: the freshly closed sample
+    // must carry exactly the tiers' boundary occupancy.
+    unsigned checked = 0;
+    w.sim.addClockObserver(pc.interval, [&](Tick boundary) {
+        for (const service::Microservice *svc : w.app->services()) {
+            const obs::IntervalSample &s =
+                pipe.store().find(svc->name())->latest();
+            EXPECT_EQ(s.end, boundary);
+            EXPECT_EQ(s.occupancy, svc->meanOccupancy())
+                << svc->name() << " at " << boundary;
+        }
+        ++checked;
+    });
+    workload::OpenLoopGenerator gen(
+        *w.app, workload::QueryMix({1.0}),
+        workload::UserPopulation::uniform(50), 1);
+    gen.setQps(1000.0);
+    gen.start();
+    w.sim.runUntil(kTicksPerSec);
+
+    EXPECT_EQ(checked, 10u);
+    EXPECT_GT(pipe.store().find("backend")->latest().occupancy, 0.0);
 }
 
 } // namespace
