@@ -1,6 +1,9 @@
 #include "apps/scenario.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <limits>
+#include <string_view>
 
 #include "apps/catalog.hh"
 #include "apps/single_tier.hh"
@@ -102,10 +105,509 @@ writeFault(json::Writer &w, const fault::FaultSpec &f)
     w.endObject();
 }
 
-} // namespace
+/**
+ * Parse a "user,batch,best" weight triple. @return false on malformed
+ * input or a zero weight (a zero-weight class would starve under WRR).
+ */
+bool
+parseQosWeights(const std::string &text, unsigned &user, unsigned &batch,
+                unsigned &best)
+{
+    const std::vector<std::string> parts = splitNameList(text);
+    if (parts.size() != 3)
+        return false;
+    unsigned vals[3];
+    for (int i = 0; i < 3; ++i) {
+        const std::string &p = parts[i];
+        if (p.empty() ||
+            p.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        const unsigned long v = std::stoul(p);
+        if (v == 0 || v > 1000000)
+            return false;
+        vals[i] = static_cast<unsigned>(v);
+    }
+    user = vals[0];
+    batch = vals[1];
+    best = vals[2];
+    return true;
+}
+
+ScenarioField
+num(const char *flag, const char *key, double Scenario::*m)
+{
+    ScenarioField f{flag, key, FieldKind::Number};
+    f.number = m;
+    return f;
+}
+
+ScenarioField
+uns(const char *flag, const char *key, unsigned Scenario::*m)
+{
+    ScenarioField f{flag, key, FieldKind::Unsigned};
+    f.uns = m;
+    return f;
+}
+
+ScenarioField
+u64(const char *flag, const char *key, std::uint64_t Scenario::*m)
+{
+    ScenarioField f{flag, key, FieldKind::U64};
+    f.u64 = m;
+    return f;
+}
+
+ScenarioField
+dur(const char *flag, const char *key, Tick Scenario::*m)
+{
+    ScenarioField f{flag, key, FieldKind::Duration};
+    f.u64 = m;
+    return f;
+}
+
+ScenarioField
+str(const char *flag, const char *key, std::string Scenario::*m)
+{
+    ScenarioField f{flag, key, FieldKind::String};
+    f.string = m;
+    return f;
+}
+
+ScenarioField
+boolean(const char *flag, const char *key, bool Scenario::*m)
+{
+    ScenarioField f{flag, key, FieldKind::Bool};
+    f.boolean = m;
+    return f;
+}
+
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/** The largest value an integer row's member holds. */
+std::uint64_t
+maxOf(FieldKind kind)
+{
+    return kind == FieldKind::Unsigned
+               ? kMaxUnsigned
+               : std::numeric_limits<std::uint64_t>::max();
+}
+
+void
+storeInteger(Scenario &s, const ScenarioField &f, std::uint64_t v)
+{
+    if (f.kind == FieldKind::Unsigned)
+        s.*f.uns = static_cast<unsigned>(v);
+    else
+        s.*f.u64 = v;
+}
+
+/** Strict whole-string decimal parse: no sign, no blanks. */
+bool
+parseU64Text(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    try {
+        std::size_t consumed = 0;
+        out = std::stoull(text, &consumed);
+        return consumed == text.size();
+    } catch (...) {
+        return false;
+    }
+}
+
+/**
+ * Read JSON value @p v of @p key as an integer no larger than @p max.
+ * The range check precedes the double-to-integer cast, which is
+ * undefined at or above 2^64.
+ */
+bool
+jsonInteger(const json::Value &v, const std::string &key,
+            std::uint64_t max, std::uint64_t &out, std::string &error)
+{
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    if (!v.isNumber() || !(v.number >= 0.0 && v.number < kTwoTo64) ||
+        v.number != static_cast<double>(
+                        static_cast<std::uint64_t>(v.number))) {
+        error = strCat("scenario key '", key,
+                       "' must be a non-negative integer");
+        return false;
+    }
+    out = static_cast<std::uint64_t>(v.number);
+    if (out > max) {
+        error = strCat("scenario key '", key, "' must be <= ", max);
+        return false;
+    }
+    return true;
+}
 
 bool
-parseScenarioJson(const std::string &text, Scenario &out,
+readJsonPins(Scenario &s, const json::Value &v, std::string &error)
+{
+    if (!v.isArray()) {
+        error = "scenario key 'placement.pin' must be an array";
+        return false;
+    }
+    s.pins.clear();
+    for (const json::Value &entry : v.array) {
+        if (!entry.isObject()) {
+            error = "placement.pin entries must be objects";
+            return false;
+        }
+        data::PlacementPin pin;
+        bool have_tier = false;
+        for (const auto &[name, ev] : entry.object) {
+            if (name == "tier") {
+                if (!ev.isString()) {
+                    error = "scenario key 'placement.pin.tier' must be "
+                            "a string";
+                    return false;
+                }
+                pin.tier = ev.string;
+                have_tier = true;
+            } else if (name == "shard") {
+                std::uint64_t u = 0;
+                if (!jsonInteger(ev, "placement.pin.shard", kMaxUnsigned,
+                                 u, error))
+                    return false;
+                pin.shard = static_cast<unsigned>(u);
+            } else {
+                error = strCat("unknown scenario key 'placement.pin.",
+                               name, "'");
+                return false;
+            }
+        }
+        if (!have_tier) {
+            error = "placement.pin entries need a 'tier' name";
+            return false;
+        }
+        s.pins.push_back(std::move(pin));
+    }
+    return true;
+}
+
+/** Read one JSON value into @p f's member of @p s. */
+bool
+readJsonField(Scenario &s, const ScenarioField &f, const json::Value &v,
+              std::string &error)
+{
+    auto wrongType = [&](const char *what) {
+        error = strCat("scenario key '", f.key, "' must be ", what);
+        return false;
+    };
+    switch (f.kind) {
+      case FieldKind::Number:
+        if (!v.isNumber())
+            return wrongType("a number");
+        s.*f.number = v.number;
+        return true;
+      case FieldKind::Unsigned:
+      case FieldKind::U64: {
+        std::uint64_t u = 0;
+        if (!jsonInteger(v, f.key, maxOf(f.kind), u, error))
+            return false;
+        storeInteger(s, f, u);
+        return true;
+      }
+      case FieldKind::Duration:
+        if (!durationFromValue(v, s.*f.u64))
+            return wrongType("a duration (e.g. \"50ms\")");
+        return true;
+      case FieldKind::String:
+        if (!v.isString())
+            return wrongType("a string");
+        s.*f.string = v.string;
+        return true;
+      case FieldKind::Bool:
+        if (!v.isBool())
+            return wrongType("a boolean");
+        s.*f.boolean = v.boolean;
+        return true;
+      case FieldKind::QosWeights:
+        if (!v.isString())
+            return wrongType("a string");
+        if (!parseQosWeights(v.string, s.qosWeightUser, s.qosWeightBatch,
+                             s.qosWeightBest)) {
+            error = strCat("scenario key 'qos.weights' must be three "
+                           "positive integers \"user,batch,best\", got '",
+                           v.string, "'");
+            return false;
+        }
+        return true;
+      case FieldKind::Pin:
+        return readJsonPins(s, v, error);
+      case FieldKind::Faults:
+        if (!v.isArray())
+            return wrongType("an array");
+        s.faults.clear();
+        for (const json::Value &entry : v.array) {
+            fault::FaultSpec spec;
+            if (!fault::faultFromJson(entry, spec, error))
+                return false;
+            s.faults.push_back(std::move(spec));
+        }
+        return true;
+    }
+    return false;
+}
+
+/** Write @p f's member of @p s as member @p name of the open object. */
+void
+writeJsonField(json::Writer &w, const std::string &name,
+               const ScenarioField &f, const Scenario &s)
+{
+    switch (f.kind) {
+      case FieldKind::Number:
+        w.field(name, s.*f.number);
+        break;
+      case FieldKind::Unsigned:
+        w.field(name, s.*f.uns);
+        break;
+      case FieldKind::U64:
+        w.field(name, s.*f.u64);
+        break;
+      case FieldKind::Duration:
+        w.field(name, ticksField(s.*f.u64));
+        break;
+      case FieldKind::String:
+        w.field(name, s.*f.string);
+        break;
+      case FieldKind::Bool:
+        w.field(name, s.*f.boolean);
+        break;
+      case FieldKind::QosWeights:
+        w.field(name, strCat(s.qosWeightUser, ",", s.qosWeightBatch, ",",
+                             s.qosWeightBest));
+        break;
+      case FieldKind::Pin:
+        w.beginArray(name);
+        for (const data::PlacementPin &p : s.pins) {
+            w.beginObject();
+            w.field("tier", p.tier);
+            w.field("shard", p.shard);
+            w.endObject();
+        }
+        w.endArray();
+        break;
+      case FieldKind::Faults:
+        w.beginArray(name);
+        for (const fault::FaultSpec &spec : s.faults)
+            writeFault(w, spec);
+        w.endArray();
+        break;
+    }
+}
+
+/** The schema row with dotted JSON key @p key, or nullptr. */
+const ScenarioField *
+fieldForKey(const std::string &key)
+{
+    for (const ScenarioField &f : scenarioSchema())
+        if (key == f.key)
+            return &f;
+    return nullptr;
+}
+
+} // namespace
+
+const std::vector<ScenarioField> &
+scenarioSchema()
+{
+    using S = Scenario;
+    // Row order is the --dump-config key order; each nested block's
+    // rows stay contiguous.
+    static const std::vector<ScenarioField> kSchema = {
+        str("--app", "app", &S::app),
+        num("--qps", "qps", &S::qps),
+        num("--duration", "duration_sec", &S::durationSec),
+        num("--warmup", "warmup_sec", &S::warmupSec),
+        uns("--servers", "servers", &S::servers),
+        uns("--drones", "drones", &S::drones),
+        str("--core", "core", &S::core),
+        num("--freq", "freq_mhz", &S::freqMhz),
+        boolean("--fpga", "fpga", &S::fpga),
+        str("--lambda", "lambda", &S::lambda),
+        uns("--slow-servers", "slow_servers", &S::slowServers),
+        num("--slow-factor", "slow_factor", &S::slowFactor),
+        num("--skew", "skew", &S::skew),
+        u64("--users", "users", &S::users),
+        u64("--seed", "seed", &S::seed),
+        uns("--shards", "shards", &S::shards),
+        uns("--threads", "threads", &S::threads),
+        dur("--rpc-timeout", "rpc_timeout", &S::rpcTimeout),
+        dur("--deadline", "deadline", &S::deadline),
+        uns("--retries", "retries", &S::retries),
+        num("--retry-budget", "retry_budget", &S::retryBudget),
+        boolean("--breaker", "breaker", &S::breaker),
+        uns("--shed", "shed", &S::shed),
+        u64("--trace-capacity", "trace_capacity", &S::traceCapacity),
+
+        u64("--cache-keys", "data.keys", &S::dataKeys),
+        u64("--cache-capacity", "data.capacity", &S::dataCapacity),
+        str("--cache-policy", "data.policy", &S::dataPolicy),
+        str("--cache-popularity", "data.popularity", &S::dataPopularity),
+        num("--cache-zipf", "data.zipf_s", &S::dataZipfS),
+        num("--cache-hot-fraction", "data.hot_fraction",
+            &S::dataHotFraction),
+        num("--cache-hot-mass", "data.hot_mass", &S::dataHotMass),
+        dur("--cache-ttl", "data.ttl", &S::dataTtl),
+        str("--cache-write", "data.write", &S::dataWrite),
+        dur("--cache-shift", "data.shift_period", &S::dataShiftPeriod),
+        uns("--cache-vnodes", "data.vnodes", &S::dataVnodes),
+
+        boolean("--qos", "qos.enabled", &S::qosEnabled),
+        {"--qos-weights", "qos.weights", FieldKind::QosWeights},
+        uns("--qos-queue", "qos.queue", &S::qosQueue),
+        num("--qos-rate", "qos.rate", &S::qosRate),
+        num("--qos-burst", "qos.burst", &S::qosBurst),
+        num("--qos-shed-batch", "qos.shed_batch", &S::qosShedBatch),
+        num("--qos-shed-best", "qos.shed_best", &S::qosShedBest),
+        str("--qos-batch", "qos.batch", &S::qosBatch),
+        str("--qos-best-effort", "qos.best_effort", &S::qosBestEffort),
+
+        uns("--replica-factor", "replication.factor", &S::replicaFactor),
+        uns("--replica-quorum", "replication.quorum", &S::replicaQuorum),
+        dur("--replica-apply-lag", "replication.apply_lag",
+            &S::replicaApplyLag),
+        dur("--replica-election-timeout", "replication.election_timeout",
+            &S::replicaElectionTimeout),
+        dur("--replica-catch-up", "replication.catch_up",
+            &S::replicaCatchUp),
+        str("--replica-read", "replication.read", &S::replicaRead),
+        uns("--txn-keys", "replication.txn_keys", &S::txnKeys),
+        dur("--txn-prepare-timeout", "replication.txn_prepare_timeout",
+            &S::txnPrepareTimeout),
+
+        boolean(nullptr, "slo.enabled", &S::obsEnabled),
+        dur("--timeseries-interval", "slo.interval", &S::obsInterval),
+        u64("--timeseries-ring", "slo.ring", &S::obsRing),
+        dur("--slo-latency", "slo.latency", &S::sloLatency),
+        num("--slo-quantile", "slo.quantile", &S::sloQuantile),
+        uns("--slo-window", "slo.window", &S::sloWindow),
+        num("--slo-error-rate", "slo.error_rate", &S::sloErrorRate),
+        str("--slo-tier", "slo.tier", &S::sloTier),
+
+        str("--placement", "placement.mode", &S::placement),
+        {"--pin", "placement.pin", FieldKind::Pin},
+
+        str("--generate", "generate.profile", &S::genProfile),
+        u64("--gen-seed", "generate.seed", &S::genSeed),
+        uns("--gen-depth", "generate.depth", &S::genDepth),
+        uns("--gen-width", "generate.width", &S::genWidth),
+        num("--gen-fanout", "generate.fanout", &S::genFanout),
+
+        str("--arrival", "arrival.kind", &S::arrival),
+        num("--arrival-burst", "arrival.burst", &S::arrivalBurst),
+        num("--arrival-duty", "arrival.duty", &S::arrivalDuty),
+        dur("--arrival-dwell", "arrival.dwell", &S::arrivalDwell),
+        dur("--arrival-period", "arrival.period", &S::arrivalPeriod),
+        num("--arrival-low", "arrival.low", &S::arrivalLow),
+        dur("--arrival-flash-at", "arrival.flash_at", &S::arrivalFlashAt),
+        dur("--arrival-flash-ramp", "arrival.flash_ramp",
+            &S::arrivalFlashRamp),
+        num("--arrival-flash-mult", "arrival.flash_mult",
+            &S::arrivalFlashMult),
+        dur("--arrival-flash-hold", "arrival.flash_hold",
+            &S::arrivalFlashHold),
+
+        {"--fault", "faults", FieldKind::Faults},
+    };
+    return kSchema;
+}
+
+const ScenarioField *
+scenarioFieldForFlag(const std::string &flag)
+{
+    for (const ScenarioField &f : scenarioSchema())
+        if (f.flag != nullptr && flag == f.flag)
+            return &f;
+    return nullptr;
+}
+
+bool
+applyScenarioFlag(Scenario &s, const ScenarioField &f,
+                  const std::string &text, std::string &error)
+{
+    switch (f.kind) {
+      case FieldKind::Number:
+        try {
+            std::size_t consumed = 0;
+            const double v = std::stod(text, &consumed);
+            if (consumed == text.size()) {
+                s.*f.number = v;
+                return true;
+            }
+        } catch (...) {
+        }
+        error = strCat("bad number '", text, "' for ", f.flag);
+        return false;
+      case FieldKind::Unsigned:
+      case FieldKind::U64: {
+        std::uint64_t v = 0;
+        if (!parseU64Text(text, v)) {
+            error = strCat("bad non-negative integer '", text, "' for ",
+                           f.flag);
+            return false;
+        }
+        if (v > maxOf(f.kind)) {
+            error = strCat(f.flag, " must be <= ", maxOf(f.kind),
+                           ", got ", text);
+            return false;
+        }
+        storeInteger(s, f, v);
+        return true;
+      }
+      case FieldKind::Duration:
+        if (!fault::parseDuration(text, s.*f.u64)) {
+            error = strCat("bad duration '", text, "' for ", f.flag,
+                           " (want e.g. 50ms, 2s, 800us)");
+            return false;
+        }
+        return true;
+      case FieldKind::String:
+        s.*f.string = text;
+        return true;
+      case FieldKind::Bool:
+        s.*f.boolean = true;
+        return true;
+      case FieldKind::QosWeights:
+        if (!parseQosWeights(text, s.qosWeightUser, s.qosWeightBatch,
+                             s.qosWeightBest)) {
+            error = strCat("bad weights '", text, "' for ", f.flag,
+                           " (want three positive integers "
+                           "\"user,batch,best\")");
+            return false;
+        }
+        return true;
+      case FieldKind::Pin: {
+        const std::size_t eq = text.find('=');
+        std::uint64_t shard = 0;
+        if (eq == std::string::npos || eq == 0 ||
+            !parseU64Text(text.substr(eq + 1), shard) ||
+            shard > kMaxUnsigned) {
+            error = strCat("bad pin '", text, "' for ", f.flag,
+                           " (want TIER=SHARD, e.g. user-db=1)");
+            return false;
+        }
+        s.pins.push_back({text.substr(0, eq),
+                          static_cast<unsigned>(shard)});
+        return true;
+      }
+      case FieldKind::Faults: {
+        fault::FaultSpec spec;
+        if (!fault::parseFaultFlag(text, spec, error)) {
+            error = strCat("bad --fault '", text, "': ", error);
+            return false;
+        }
+        s.faults.push_back(std::move(spec));
+        return true;
+      }
+    }
+    return false;
+}
+
+bool
+mergeScenarioJson(const std::string &text, Scenario &out,
                   std::string &error)
 {
     json::Value root;
@@ -116,692 +618,218 @@ parseScenarioJson(const std::string &text, Scenario &out,
         return false;
     }
 
-    Scenario s = out; // absent keys keep the caller's defaults
-
-    auto wantNumber = [&](const json::Value &v, const std::string &key,
-                          double &dst) {
-        if (!v.isNumber()) {
-            error = strCat("scenario key '", key, "' must be a number");
-            return false;
+    Scenario s = out; // absent keys keep the caller's values
+    for (const auto &[key, v] : root.object) {
+        const ScenarioField *f =
+            key.find('.') == std::string::npos ? fieldForKey(key) : nullptr;
+        if (f != nullptr) {
+            if (!readJsonField(s, *f, v, error))
+                return false;
+            continue;
         }
-        dst = v.number;
-        return true;
-    };
-    auto wantUnsigned = [&](const json::Value &v, const std::string &key,
-                            std::uint64_t &dst) {
-        if (!v.isNumber() || v.number < 0.0 ||
-            v.number != static_cast<double>(
-                            static_cast<std::uint64_t>(v.number))) {
-            error = strCat("scenario key '", key,
-                           "' must be a non-negative integer");
-            return false;
-        }
-        dst = static_cast<std::uint64_t>(v.number);
-        return true;
-    };
-    auto wantString = [&](const json::Value &v, const std::string &key,
-                          std::string &dst) {
-        if (!v.isString()) {
-            error = strCat("scenario key '", key, "' must be a string");
-            return false;
-        }
-        dst = v.string;
-        return true;
-    };
-    auto wantBool = [&](const json::Value &v, const std::string &key,
-                        bool &dst) {
-        if (!v.isBool()) {
-            error = strCat("scenario key '", key, "' must be a boolean");
-            return false;
-        }
-        dst = v.boolean;
-        return true;
-    };
-    auto wantDuration = [&](const json::Value &v, const std::string &key,
-                            Tick &dst) {
-        if (!durationFromValue(v, dst)) {
-            error = strCat("scenario key '", key,
-                           "' must be a duration (e.g. \"50ms\")");
-            return false;
-        }
-        return true;
-    };
-
-    for (const auto &kv : root.object) {
-        const std::string &key = kv.first;
-        const json::Value &v = kv.second;
-        std::uint64_t u = 0;
-        bool ok = true;
-        if (key == "app")
-            ok = wantString(v, key, s.app);
-        else if (key == "qps")
-            ok = wantNumber(v, key, s.qps);
-        else if (key == "duration_sec")
-            ok = wantNumber(v, key, s.durationSec);
-        else if (key == "warmup_sec")
-            ok = wantNumber(v, key, s.warmupSec);
-        else if (key == "servers") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.servers = static_cast<unsigned>(u);
-        } else if (key == "drones") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.drones = static_cast<unsigned>(u);
-        } else if (key == "core")
-            ok = wantString(v, key, s.core);
-        else if (key == "freq_mhz")
-            ok = wantNumber(v, key, s.freqMhz);
-        else if (key == "fpga")
-            ok = wantBool(v, key, s.fpga);
-        else if (key == "lambda")
-            ok = wantString(v, key, s.lambda);
-        else if (key == "slow_servers") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.slowServers = static_cast<unsigned>(u);
-        } else if (key == "slow_factor")
-            ok = wantNumber(v, key, s.slowFactor);
-        else if (key == "skew")
-            ok = wantNumber(v, key, s.skew);
-        else if (key == "users")
-            ok = wantUnsigned(v, key, s.users);
-        else if (key == "seed")
-            ok = wantUnsigned(v, key, s.seed);
-        else if (key == "shards") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.shards = static_cast<unsigned>(u);
-        } else if (key == "threads") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.threads = static_cast<unsigned>(u);
-        } else if (key == "rpc_timeout")
-            ok = wantDuration(v, key, s.rpcTimeout);
-        else if (key == "deadline")
-            ok = wantDuration(v, key, s.deadline);
-        else if (key == "retries") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.retries = static_cast<unsigned>(u);
-        } else if (key == "retry_budget")
-            ok = wantNumber(v, key, s.retryBudget);
-        else if (key == "breaker")
-            ok = wantBool(v, key, s.breaker);
-        else if (key == "shed") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.shed = static_cast<unsigned>(u);
-        } else if (key == "trace_capacity") {
-            if ((ok = wantUnsigned(v, key, u)))
-                s.traceCapacity = static_cast<std::size_t>(u);
-        } else if (key == "data") {
-            if (!v.isObject()) {
-                error = "scenario key 'data' must be an object";
-                return false;
-            }
-            for (const auto &dkv : v.object) {
-                const std::string dkey = "data." + dkv.first;
-                const json::Value &dv = dkv.second;
-                bool dok = true;
-                if (dkv.first == "keys")
-                    dok = wantUnsigned(dv, dkey, s.dataKeys);
-                else if (dkv.first == "capacity")
-                    dok = wantUnsigned(dv, dkey, s.dataCapacity);
-                else if (dkv.first == "policy")
-                    dok = wantString(dv, dkey, s.dataPolicy);
-                else if (dkv.first == "popularity")
-                    dok = wantString(dv, dkey, s.dataPopularity);
-                else if (dkv.first == "zipf_s")
-                    dok = wantNumber(dv, dkey, s.dataZipfS);
-                else if (dkv.first == "hot_fraction")
-                    dok = wantNumber(dv, dkey, s.dataHotFraction);
-                else if (dkv.first == "hot_mass")
-                    dok = wantNumber(dv, dkey, s.dataHotMass);
-                else if (dkv.first == "ttl")
-                    dok = wantDuration(dv, dkey, s.dataTtl);
-                else if (dkv.first == "write")
-                    dok = wantString(dv, dkey, s.dataWrite);
-                else if (dkv.first == "shift_period")
-                    dok = wantDuration(dv, dkey, s.dataShiftPeriod);
-                else if (dkv.first == "vnodes") {
-                    if ((dok = wantUnsigned(dv, dkey, u)))
-                        s.dataVnodes = static_cast<unsigned>(u);
-                } else {
-                    error = strCat("unknown scenario key 'data.",
-                                   dkv.first, "'");
-                    return false;
-                }
-                if (!dok)
-                    return false;
-            }
-        } else if (key == "qos") {
-            if (!v.isObject()) {
-                error = "scenario key 'qos' must be an object";
-                return false;
-            }
-            for (const auto &qkv : v.object) {
-                const std::string qkey = "qos." + qkv.first;
-                const json::Value &qv = qkv.second;
-                bool qok = true;
-                if (qkv.first == "enabled")
-                    qok = wantBool(qv, qkey, s.qosEnabled);
-                else if (qkv.first == "weights") {
-                    std::string triple;
-                    if ((qok = wantString(qv, qkey, triple)) &&
-                        !parseQosWeights(triple, s.qosWeightUser,
-                                         s.qosWeightBatch,
-                                         s.qosWeightBest)) {
-                        error = strCat(
-                            "scenario key 'qos.weights' must be three "
-                            "positive integers \"user,batch,best\", "
-                            "got '",
-                            triple, "'");
-                        return false;
-                    }
-                } else if (qkv.first == "queue") {
-                    if ((qok = wantUnsigned(qv, qkey, u)))
-                        s.qosQueue = static_cast<unsigned>(u);
-                } else if (qkv.first == "rate")
-                    qok = wantNumber(qv, qkey, s.qosRate);
-                else if (qkv.first == "burst")
-                    qok = wantNumber(qv, qkey, s.qosBurst);
-                else if (qkv.first == "shed_batch")
-                    qok = wantNumber(qv, qkey, s.qosShedBatch);
-                else if (qkv.first == "shed_best")
-                    qok = wantNumber(qv, qkey, s.qosShedBest);
-                else if (qkv.first == "batch")
-                    qok = wantString(qv, qkey, s.qosBatch);
-                else if (qkv.first == "best_effort")
-                    qok = wantString(qv, qkey, s.qosBestEffort);
-                else {
-                    error = strCat("unknown scenario key 'qos.",
-                                   qkv.first, "'");
-                    return false;
-                }
-                if (!qok)
-                    return false;
-            }
-        } else if (key == "replication") {
-            if (!v.isObject()) {
-                error = "scenario key 'replication' must be an object";
-                return false;
-            }
-            for (const auto &rkv : v.object) {
-                const std::string rkey = "replication." + rkv.first;
-                const json::Value &rv = rkv.second;
-                bool rok = true;
-                if (rkv.first == "factor") {
-                    if ((rok = wantUnsigned(rv, rkey, u)))
-                        s.replicaFactor = static_cast<unsigned>(u);
-                } else if (rkv.first == "quorum") {
-                    if ((rok = wantUnsigned(rv, rkey, u)))
-                        s.replicaQuorum = static_cast<unsigned>(u);
-                } else if (rkv.first == "apply_lag")
-                    rok = wantDuration(rv, rkey, s.replicaApplyLag);
-                else if (rkv.first == "election_timeout")
-                    rok = wantDuration(rv, rkey,
-                                       s.replicaElectionTimeout);
-                else if (rkv.first == "catch_up")
-                    rok = wantDuration(rv, rkey, s.replicaCatchUp);
-                else if (rkv.first == "read")
-                    rok = wantString(rv, rkey, s.replicaRead);
-                else if (rkv.first == "txn_keys") {
-                    if ((rok = wantUnsigned(rv, rkey, u)))
-                        s.txnKeys = static_cast<unsigned>(u);
-                } else if (rkv.first == "txn_prepare_timeout")
-                    rok = wantDuration(rv, rkey, s.txnPrepareTimeout);
-                else {
-                    error = strCat("unknown scenario key 'replication.",
-                                   rkv.first, "'");
-                    return false;
-                }
-                if (!rok)
-                    return false;
-            }
-        } else if (key == "slo") {
-            if (!v.isObject()) {
-                error = "scenario key 'slo' must be an object";
-                return false;
-            }
-            for (const auto &okv : v.object) {
-                const std::string okey = "slo." + okv.first;
-                const json::Value &ov = okv.second;
-                bool ook = true;
-                if (okv.first == "enabled")
-                    ook = wantBool(ov, okey, s.obsEnabled);
-                else if (okv.first == "interval")
-                    ook = wantDuration(ov, okey, s.obsInterval);
-                else if (okv.first == "ring")
-                    ook = wantUnsigned(ov, okey, s.obsRing);
-                else if (okv.first == "latency")
-                    ook = wantDuration(ov, okey, s.sloLatency);
-                else if (okv.first == "quantile")
-                    ook = wantNumber(ov, okey, s.sloQuantile);
-                else if (okv.first == "window") {
-                    if ((ook = wantUnsigned(ov, okey, u)))
-                        s.sloWindow = static_cast<unsigned>(u);
-                } else if (okv.first == "error_rate")
-                    ook = wantNumber(ov, okey, s.sloErrorRate);
-                else if (okv.first == "tier")
-                    ook = wantString(ov, okey, s.sloTier);
-                else {
-                    error = strCat("unknown scenario key 'slo.",
-                                   okv.first, "'");
-                    return false;
-                }
-                if (!ook)
-                    return false;
-            }
-        } else if (key == "placement") {
-            if (!v.isObject()) {
-                error = "scenario key 'placement' must be an object";
-                return false;
-            }
-            for (const auto &pkv : v.object) {
-                const std::string pkey = "placement." + pkv.first;
-                const json::Value &pv = pkv.second;
-                if (pkv.first == "mode") {
-                    if (!wantString(pv, pkey, s.placement))
-                        return false;
-                } else if (pkv.first == "pin") {
-                    if (!pv.isArray()) {
-                        error =
-                            "scenario key 'placement.pin' must be an "
-                            "array";
-                        return false;
-                    }
-                    s.pins.clear();
-                    for (const json::Value &entry : pv.array) {
-                        if (!entry.isObject()) {
-                            error = "placement.pin entries must be "
-                                    "objects";
-                            return false;
-                        }
-                        data::PlacementPin pin;
-                        bool have_tier = false;
-                        for (const auto &ekv : entry.object) {
-                            const json::Value &ev = ekv.second;
-                            if (ekv.first == "tier") {
-                                if (!wantString(ev, "placement.pin.tier",
-                                                pin.tier))
-                                    return false;
-                                have_tier = true;
-                            } else if (ekv.first == "shard") {
-                                if (!wantUnsigned(
-                                        ev, "placement.pin.shard", u))
-                                    return false;
-                                pin.shard = static_cast<unsigned>(u);
-                            } else {
-                                error = strCat(
-                                    "unknown scenario key "
-                                    "'placement.pin.",
-                                    ekv.first, "'");
-                                return false;
-                            }
-                        }
-                        if (!have_tier) {
-                            error = "placement.pin entries need a "
-                                    "'tier' name";
-                            return false;
-                        }
-                        s.pins.push_back(std::move(pin));
-                    }
-                } else {
-                    error = strCat("unknown scenario key 'placement.",
-                                   pkv.first, "'");
-                    return false;
-                }
-            }
-        } else if (key == "generate") {
-            if (!v.isObject()) {
-                error = "scenario key 'generate' must be an object";
-                return false;
-            }
-            for (const auto &gkv : v.object) {
-                const std::string gkey = "generate." + gkv.first;
-                const json::Value &gv = gkv.second;
-                bool gok = true;
-                if (gkv.first == "profile")
-                    gok = wantString(gv, gkey, s.genProfile);
-                else if (gkv.first == "seed")
-                    gok = wantUnsigned(gv, gkey, s.genSeed);
-                else if (gkv.first == "depth") {
-                    if ((gok = wantUnsigned(gv, gkey, u)))
-                        s.genDepth = static_cast<unsigned>(u);
-                } else if (gkv.first == "width") {
-                    if ((gok = wantUnsigned(gv, gkey, u)))
-                        s.genWidth = static_cast<unsigned>(u);
-                } else if (gkv.first == "fanout")
-                    gok = wantNumber(gv, gkey, s.genFanout);
-                else {
-                    error = strCat("unknown scenario key 'generate.",
-                                   gkv.first, "'");
-                    return false;
-                }
-                if (!gok)
-                    return false;
-            }
-        } else if (key == "arrival") {
-            if (!v.isObject()) {
-                error = "scenario key 'arrival' must be an object";
-                return false;
-            }
-            for (const auto &akv : v.object) {
-                const std::string akey = "arrival." + akv.first;
-                const json::Value &av = akv.second;
-                bool aok = true;
-                if (akv.first == "kind")
-                    aok = wantString(av, akey, s.arrival);
-                else if (akv.first == "burst")
-                    aok = wantNumber(av, akey, s.arrivalBurst);
-                else if (akv.first == "duty")
-                    aok = wantNumber(av, akey, s.arrivalDuty);
-                else if (akv.first == "dwell")
-                    aok = wantDuration(av, akey, s.arrivalDwell);
-                else if (akv.first == "period")
-                    aok = wantDuration(av, akey, s.arrivalPeriod);
-                else if (akv.first == "low")
-                    aok = wantNumber(av, akey, s.arrivalLow);
-                else if (akv.first == "flash_at")
-                    aok = wantDuration(av, akey, s.arrivalFlashAt);
-                else if (akv.first == "flash_ramp")
-                    aok = wantDuration(av, akey, s.arrivalFlashRamp);
-                else if (akv.first == "flash_mult")
-                    aok = wantNumber(av, akey, s.arrivalFlashMult);
-                else if (akv.first == "flash_hold")
-                    aok = wantDuration(av, akey, s.arrivalFlashHold);
-                else {
-                    error = strCat("unknown scenario key 'arrival.",
-                                   akv.first, "'");
-                    return false;
-                }
-                if (!aok)
-                    return false;
-            }
-        } else if (key == "faults") {
-            if (!v.isArray()) {
-                error = "scenario key 'faults' must be an array";
-                return false;
-            }
-            s.faults.clear();
-            for (const json::Value &entry : v.array) {
-                fault::FaultSpec spec;
-                if (!fault::faultFromJson(entry, spec, error))
-                    return false;
-                s.faults.push_back(std::move(spec));
-            }
-        } else {
+        const std::string prefix = key + ".";
+        bool is_block = false;
+        for (const ScenarioField &g : scenarioSchema())
+            is_block = is_block || std::string_view(g.key).starts_with(prefix);
+        if (!is_block) {
             error = strCat("unknown scenario key '", key, "'");
             return false;
         }
-        if (!ok)
+        if (!v.isObject()) {
+            error = strCat("scenario key '", key, "' must be an object");
             return false;
+        }
+        for (const auto &[name, member] : v.object) {
+            const std::string dotted = strCat(key, ".", name);
+            const ScenarioField *g = fieldForKey(dotted);
+            if (g == nullptr) {
+                error = strCat("unknown scenario key '", dotted, "'");
+                return false;
+            }
+            if (!readJsonField(s, *g, member, error))
+                return false;
+        }
     }
+    out = std::move(s);
+    return true;
+}
 
-    // The same sanity rules uqsim_run enforces on flags.
-    if (s.qps <= 0.0) {
-        error = "qps must be positive";
+bool
+parseScenarioJson(const std::string &text, Scenario &out,
+                  std::string &error)
+{
+    Scenario s = out;
+    if (!mergeScenarioJson(text, s, error) || !validateScenario(s, error))
         return false;
-    }
-    if (s.durationSec <= 0.0) {
-        error = "duration_sec must be positive";
+    out = std::move(s);
+    return true;
+}
+
+bool
+validateScenario(const Scenario &s, std::string &error)
+{
+    auto fail = [&](std::string message) {
+        error = std::move(message);
         return false;
-    }
-    if (s.warmupSec < 0.0) {
-        error = "warmup_sec must be non-negative";
-        return false;
-    }
-    if (s.servers == 0) {
-        error = "servers must be positive";
-        return false;
-    }
-    if (s.shards == 0 || s.threads == 0) {
-        error = "shards and threads must be positive";
-        return false;
-    }
-    if (s.skew >= 100.0) {
-        error = "skew must be below 100";
-        return false;
-    }
-    if (s.retryBudget < 0.0) {
-        error = "retry_budget must be >= 0";
-        return false;
-    }
-    if (!s.lambda.empty() && s.lambda != "s3" && s.lambda != "mem") {
-        error = strCat("unknown lambda kind '", s.lambda,
-                       "' (want s3 or mem)");
-        return false;
-    }
-    cpu::CoreModel unused;
-    if (!coreModelByName(s.core, unused)) {
-        error = strCat("unknown core model '", s.core, "'");
-        return false;
-    }
+    };
+    if (s.qps <= 0.0)
+        return fail("qps must be positive");
+    if (s.durationSec <= 0.0)
+        return fail("duration_sec must be positive");
+    if (s.warmupSec < 0.0)
+        return fail("warmup_sec must be non-negative");
+    if (s.servers == 0)
+        return fail("servers must be positive");
+    if (s.shards == 0 || s.threads == 0)
+        return fail("shards and threads must be positive");
+    if (s.skew >= 100.0)
+        return fail("skew must be below 100");
+    if (s.retryBudget < 0.0)
+        return fail("retry_budget must be >= 0");
+    if (!s.lambda.empty() && s.lambda != "s3" && s.lambda != "mem")
+        return fail(strCat("unknown lambda kind '", s.lambda,
+                           "' (want s3 or mem)"));
+    cpu::CoreModel core;
+    if (!coreModelByName(s.core, core))
+        return fail(strCat("unknown core model '", s.core, "'"));
+
     data::CachePolicy pol;
-    if (!data::cachePolicyByName(s.dataPolicy, pol)) {
-        error = strCat("unknown data.policy '", s.dataPolicy,
-                       "' (want lru, lfu or slru)");
-        return false;
-    }
+    if (!data::cachePolicyByName(s.dataPolicy, pol))
+        return fail(strCat("unknown data.policy '", s.dataPolicy,
+                           "' (want lru, lfu or slru)"));
     data::Popularity pop;
-    if (!data::popularityByName(s.dataPopularity, pop)) {
-        error = strCat("unknown data.popularity '", s.dataPopularity,
-                       "' (want zipf, uniform or hotspot)");
-        return false;
-    }
+    if (!data::popularityByName(s.dataPopularity, pop))
+        return fail(strCat("unknown data.popularity '", s.dataPopularity,
+                           "' (want zipf, uniform or hotspot)"));
     data::WritePolicy wp;
-    if (!data::writePolicyByName(s.dataWrite, wp)) {
-        error = strCat("unknown data.write '", s.dataWrite,
-                       "' (want through or invalidate)");
-        return false;
-    }
-    if (s.dataKeys > 0 && s.dataCapacity == 0) {
-        error = "data.capacity must be positive when data.keys is set";
-        return false;
-    }
-    if (s.dataZipfS < 0.0) {
-        error = "data.zipf_s must be >= 0";
-        return false;
-    }
-    if (s.dataHotFraction <= 0.0 || s.dataHotFraction > 1.0) {
-        error = "data.hot_fraction must be in (0, 1]";
-        return false;
-    }
-    if (s.dataHotMass < 0.0 || s.dataHotMass > 1.0) {
-        error = "data.hot_mass must be in [0, 1]";
-        return false;
-    }
-    if (s.dataVnodes == 0) {
-        error = "data.vnodes must be positive";
-        return false;
-    }
+    if (!data::writePolicyByName(s.dataWrite, wp))
+        return fail(strCat("unknown data.write '", s.dataWrite,
+                           "' (want through or invalidate)"));
+    if (s.dataKeys > 0 && s.dataCapacity == 0)
+        return fail("data.capacity must be positive when data.keys is set");
+    if (s.dataZipfS < 0.0)
+        return fail("data.zipf_s must be >= 0");
+    if (s.dataHotFraction <= 0.0 || s.dataHotFraction > 1.0)
+        return fail("data.hot_fraction must be in (0, 1]");
+    if (s.dataHotMass < 0.0 || s.dataHotMass > 1.0)
+        return fail("data.hot_mass must be in [0, 1]");
+    if (s.dataVnodes == 0)
+        return fail("data.vnodes must be positive");
+
     if (s.qosWeightUser == 0 || s.qosWeightBatch == 0 ||
-        s.qosWeightBest == 0) {
-        error = "qos.weights must all be >= 1";
-        return false;
-    }
-    if (s.qosRate < 0.0) {
-        error = "qos.rate must be >= 0";
-        return false;
-    }
-    if (s.qosBurst <= 0.0) {
-        error = "qos.burst must be positive";
-        return false;
-    }
-    if (s.qosShedBatch <= 0.0 || s.qosShedBatch > 1.0) {
-        error = "qos.shed_batch must be in (0, 1]";
-        return false;
-    }
-    if (s.qosShedBest <= 0.0 || s.qosShedBest > 1.0) {
-        error = "qos.shed_best must be in (0, 1]";
-        return false;
-    }
+        s.qosWeightBest == 0)
+        return fail("qos.weights must all be >= 1");
+    if (s.qosRate < 0.0)
+        return fail("qos.rate must be >= 0");
+    if (s.qosBurst <= 0.0)
+        return fail("qos.burst must be positive");
+    if (s.qosShedBatch <= 0.0 || s.qosShedBatch > 1.0)
+        return fail("qos.shed_batch must be in (0, 1]");
+    if (s.qosShedBest <= 0.0 || s.qosShedBest > 1.0)
+        return fail("qos.shed_best must be in (0, 1]");
+
     replica::ReadPreference rp;
-    if (!replica::readPreferenceByName(s.replicaRead, rp)) {
-        error = strCat("unknown replication.read '", s.replicaRead,
-                       "' (want leader, nearest or ryw)");
-        return false;
-    }
-    if (s.replicaFactor >= 2 && s.dataKeys == 0) {
-        error = "replication.factor needs data.keys > 0";
-        return false;
-    }
-    if (s.replicaFactor == 1) {
-        error = "replication.factor must be 0 (off) or >= 2";
-        return false;
-    }
-    if (s.replicaQuorum > s.replicaFactor) {
-        error = "replication.quorum must be <= replication.factor";
-        return false;
-    }
-    if (s.txnKeys == 1) {
-        error = "replication.txn_keys must be 0 (off) or >= 2";
-        return false;
-    }
-    if (s.txnKeys >= 2 && s.replicaFactor < 2) {
-        error = "replication.txn_keys needs replication.factor >= 2";
-        return false;
-    }
-    if (s.replicaFactor >= 2 && s.replicaApplyLag == 0) {
-        error = "replication.apply_lag must be positive";
-        return false;
-    }
-    if (s.replicaFactor >= 2 && s.replicaElectionTimeout == 0) {
-        error = "replication.election_timeout must be positive";
-        return false;
-    }
-    if (s.txnKeys >= 2 && s.txnPrepareTimeout == 0) {
-        error = "replication.txn_prepare_timeout must be positive";
-        return false;
-    }
-    if (s.obsInterval == 0) {
-        error = "slo.interval must be positive";
-        return false;
-    }
-    if (s.obsRing == 0) {
-        error = "slo.ring must be positive";
-        return false;
-    }
-    if (s.sloQuantile <= 0.0 || s.sloQuantile >= 1.0) {
-        error = "slo.quantile must be in (0, 1)";
-        return false;
-    }
-    if (s.sloWindow == 0) {
-        error = "slo.window must be positive";
-        return false;
-    }
-    if (s.sloErrorRate < 0.0 || s.sloErrorRate > 1.0) {
-        error = "slo.error_rate must be in [0, 1]";
-        return false;
-    }
+    if (!replica::readPreferenceByName(s.replicaRead, rp))
+        return fail(strCat("unknown replication.read '", s.replicaRead,
+                           "' (want leader, nearest or ryw)"));
+    if (s.replicaFactor >= 2 && s.dataKeys == 0)
+        return fail("replication.factor needs data.keys > 0");
+    if (s.replicaFactor == 1)
+        return fail("replication.factor must be 0 (off) or >= 2");
+    if (s.replicaQuorum > s.replicaFactor)
+        return fail("replication.quorum must be <= replication.factor");
+    if (s.txnKeys == 1)
+        return fail("replication.txn_keys must be 0 (off) or >= 2");
+    if (s.txnKeys >= 2 && s.replicaFactor < 2)
+        return fail("replication.txn_keys needs replication.factor >= 2");
+    if (s.replicaFactor >= 2 && s.replicaApplyLag == 0)
+        return fail("replication.apply_lag must be positive");
+    if (s.replicaFactor >= 2 && s.replicaElectionTimeout == 0)
+        return fail("replication.election_timeout must be positive");
+    if (s.txnKeys >= 2 && s.txnPrepareTimeout == 0)
+        return fail("replication.txn_prepare_timeout must be positive");
+
+    if (s.obsInterval == 0)
+        return fail("slo.interval must be positive");
+    if (s.obsRing == 0)
+        return fail("slo.ring must be positive");
+    if (s.sloQuantile <= 0.0 || s.sloQuantile >= 1.0)
+        return fail("slo.quantile must be in (0, 1)");
+    if (s.sloWindow == 0)
+        return fail("slo.window must be positive");
+    if (s.sloErrorRate < 0.0 || s.sloErrorRate > 1.0)
+        return fail("slo.error_rate must be in [0, 1]");
+
     if (s.placement != "none" && s.placement != "replicate" &&
-        s.placement != "partition") {
-        error = strCat("unknown placement.mode '", s.placement,
-                       "' (want none, replicate or partition)");
-        return false;
-    }
-    if (!s.pins.empty() && s.placement != "partition") {
-        error = "placement.pin needs placement.mode 'partition'";
-        return false;
-    }
+        s.placement != "partition")
+        return fail(strCat("unknown placement.mode '", s.placement,
+                           "' (want none, replicate or partition)"));
+    if (!s.pins.empty() && s.placement != "partition")
+        return fail("placement.pin needs placement.mode 'partition'");
     if (s.placement == "partition") {
         // Partitioning splits ONE world across shards; features that
         // assume either replica worlds or whole-world ownership of the
         // fault/offload machinery are rejected rather than silently
         // mis-modelled.
-        if (!s.faults.empty()) {
-            error = "placement 'partition' does not support faults";
-            return false;
-        }
-        if (s.replicaFactor >= 2) {
-            error =
-                "placement 'partition' does not support replication";
-            return false;
-        }
-        if (s.fpga) {
-            error = "placement 'partition' does not support fpga";
-            return false;
-        }
-        if (!s.lambda.empty()) {
-            error =
-                "placement 'partition' does not support lambda tiers";
-            return false;
-        }
-        if (s.app.rfind("swarm-", 0) == 0) {
-            error = strCat("placement 'partition' does not support "
-                           "app '",
-                           s.app, "'");
-            return false;
-        }
-        for (const data::PlacementPin &pin : s.pins) {
-            if (pin.shard >= s.shards) {
-                error = strCat("placement pin '", pin.tier,
-                               "' targets shard ", pin.shard,
-                               " but only ", s.shards, " shards exist");
-                return false;
-            }
-        }
+        if (!s.faults.empty())
+            return fail("placement 'partition' does not support faults");
+        if (s.replicaFactor >= 2)
+            return fail(
+                "placement 'partition' does not support replication");
+        if (s.fpga)
+            return fail("placement 'partition' does not support fpga");
+        if (!s.lambda.empty())
+            return fail(
+                "placement 'partition' does not support lambda tiers");
+        if (s.app.rfind("swarm-", 0) == 0)
+            return fail(strCat("placement 'partition' does not support "
+                               "app '",
+                               s.app, "'"));
+        for (const data::PlacementPin &pin : s.pins)
+            if (pin.shard >= s.shards)
+                return fail(strCat("placement pin '", pin.tier,
+                                   "' targets shard ", pin.shard,
+                                   " but only ", s.shards,
+                                   " shards exist"));
         for (std::size_t i = 0; i < s.pins.size(); ++i)
             for (std::size_t j = 0; j < i; ++j)
-                if (s.pins[i].tier == s.pins[j].tier) {
-                    error = strCat("duplicate placement pin for tier '",
-                                   s.pins[i].tier, "'");
-                    return false;
-                }
-    }
-    if (!s.genProfile.empty() &&
-        gen::genProfileByName(s.genProfile) == nullptr) {
-        error = strCat("unknown generate.profile '", s.genProfile,
-                       "' (try --list-gen-profiles)");
-        return false;
-    }
-    if (s.genProfile.empty() &&
-        (s.genDepth != 0 || s.genWidth != 0 || s.genFanout != 0.0)) {
-        error = "generate.depth/width/fanout need generate.profile";
-        return false;
-    }
-    if (s.genDepth > 8) {
-        error = "generate.depth must be <= 8";
-        return false;
-    }
-    if (s.genWidth > 8) {
-        error = "generate.width must be <= 8";
-        return false;
-    }
-    if (s.genFanout < 0.0 || s.genFanout > 8.0) {
-        error = "generate.fanout must be in [0, 8]";
-        return false;
-    }
-    workload::ArrivalKind arrival_kind;
-    if (!workload::arrivalKindByName(s.arrival, arrival_kind)) {
-        error = strCat("unknown arrival.kind '", s.arrival,
-                       "' (want poisson, mmpp, diurnal or flash)");
-        return false;
-    }
-    if (s.arrivalBurst < 1.0) {
-        error = "arrival.burst must be >= 1";
-        return false;
-    }
-    if (s.arrivalDuty <= 0.0 || s.arrivalDuty >= 1.0) {
-        error = "arrival.duty must be in (0, 1)";
-        return false;
-    }
-    if (s.arrivalDwell == 0) {
-        error = "arrival.dwell must be positive";
-        return false;
-    }
-    if (s.arrivalPeriod == 0) {
-        error = "arrival.period must be positive";
-        return false;
-    }
-    if (s.arrivalLow <= 0.0 || s.arrivalLow > 1.0) {
-        error = "arrival.low must be in (0, 1]";
-        return false;
-    }
-    if (s.arrivalFlashMult < 1.0) {
-        error = "arrival.flash_mult must be >= 1";
-        return false;
-    }
-    if (s.arrivalFlashRamp == 0) {
-        error = "arrival.flash_ramp must be positive";
-        return false;
+                if (s.pins[i].tier == s.pins[j].tier)
+                    return fail(strCat("duplicate placement pin for tier '",
+                                       s.pins[i].tier, "'"));
     }
 
-    out = std::move(s);
+    if (!s.genProfile.empty() &&
+        gen::genProfileByName(s.genProfile) == nullptr)
+        return fail(strCat("unknown generate.profile '", s.genProfile,
+                           "' (try --list-gen-profiles)"));
+    if (s.genProfile.empty() &&
+        (s.genDepth != 0 || s.genWidth != 0 || s.genFanout != 0.0))
+        return fail("generate.depth/width/fanout need generate.profile");
+    if (s.genDepth > 8)
+        return fail("generate.depth must be <= 8");
+    if (s.genWidth > 8)
+        return fail("generate.width must be <= 8");
+    if (s.genFanout < 0.0 || s.genFanout > 8.0)
+        return fail("generate.fanout must be in [0, 8]");
+
+    workload::ArrivalKind arrival_kind;
+    if (!workload::arrivalKindByName(s.arrival, arrival_kind))
+        return fail(strCat("unknown arrival.kind '", s.arrival,
+                           "' (want poisson, mmpp, diurnal or flash)"));
+    if (s.arrivalBurst < 1.0)
+        return fail("arrival.burst must be >= 1");
+    if (s.arrivalDuty <= 0.0 || s.arrivalDuty >= 1.0)
+        return fail("arrival.duty must be in (0, 1)");
+    if (s.arrivalDwell == 0)
+        return fail("arrival.dwell must be positive");
+    if (s.arrivalPeriod == 0)
+        return fail("arrival.period must be positive");
+    if (s.arrivalLow <= 0.0 || s.arrivalLow > 1.0)
+        return fail("arrival.low must be in (0, 1]");
+    if (s.arrivalFlashMult < 1.0)
+        return fail("arrival.flash_mult must be >= 1");
+    if (s.arrivalFlashRamp == 0)
+        return fail("arrival.flash_ramp must be positive");
     return true;
 }
 
@@ -810,110 +838,24 @@ scenarioToJson(const Scenario &s)
 {
     json::Writer w;
     w.beginObject();
-    w.field("app", s.app);
-    w.field("qps", s.qps);
-    w.field("duration_sec", s.durationSec);
-    w.field("warmup_sec", s.warmupSec);
-    w.field("servers", s.servers);
-    w.field("drones", s.drones);
-    w.field("core", s.core);
-    w.field("freq_mhz", s.freqMhz);
-    w.field("fpga", s.fpga);
-    w.field("lambda", s.lambda);
-    w.field("slow_servers", s.slowServers);
-    w.field("slow_factor", s.slowFactor);
-    w.field("skew", s.skew);
-    w.field("users", s.users);
-    w.field("seed", s.seed);
-    w.field("shards", s.shards);
-    w.field("threads", s.threads);
-    w.field("rpc_timeout", ticksField(s.rpcTimeout));
-    w.field("deadline", ticksField(s.deadline));
-    w.field("retries", s.retries);
-    w.field("retry_budget", s.retryBudget);
-    w.field("breaker", s.breaker);
-    w.field("shed", s.shed);
-    w.field("trace_capacity",
-            static_cast<std::uint64_t>(s.traceCapacity));
-    w.beginObject("data");
-    w.field("keys", s.dataKeys);
-    w.field("capacity", s.dataCapacity);
-    w.field("policy", s.dataPolicy);
-    w.field("popularity", s.dataPopularity);
-    w.field("zipf_s", s.dataZipfS);
-    w.field("hot_fraction", s.dataHotFraction);
-    w.field("hot_mass", s.dataHotMass);
-    w.field("ttl", ticksField(s.dataTtl));
-    w.field("write", s.dataWrite);
-    w.field("shift_period", ticksField(s.dataShiftPeriod));
-    w.field("vnodes", s.dataVnodes);
-    w.endObject();
-    w.beginObject("qos");
-    w.field("enabled", s.qosEnabled);
-    w.field("weights", strCat(s.qosWeightUser, ",", s.qosWeightBatch,
-                              ",", s.qosWeightBest));
-    w.field("queue", s.qosQueue);
-    w.field("rate", s.qosRate);
-    w.field("burst", s.qosBurst);
-    w.field("shed_batch", s.qosShedBatch);
-    w.field("shed_best", s.qosShedBest);
-    w.field("batch", s.qosBatch);
-    w.field("best_effort", s.qosBestEffort);
-    w.endObject();
-    w.beginObject("replication");
-    w.field("factor", s.replicaFactor);
-    w.field("quorum", s.replicaQuorum);
-    w.field("apply_lag", ticksField(s.replicaApplyLag));
-    w.field("election_timeout", ticksField(s.replicaElectionTimeout));
-    w.field("catch_up", ticksField(s.replicaCatchUp));
-    w.field("read", s.replicaRead);
-    w.field("txn_keys", s.txnKeys);
-    w.field("txn_prepare_timeout", ticksField(s.txnPrepareTimeout));
-    w.endObject();
-    w.beginObject("slo");
-    w.field("enabled", s.obsEnabled);
-    w.field("interval", ticksField(s.obsInterval));
-    w.field("ring", s.obsRing);
-    w.field("latency", ticksField(s.sloLatency));
-    w.field("quantile", s.sloQuantile);
-    w.field("window", s.sloWindow);
-    w.field("error_rate", s.sloErrorRate);
-    w.field("tier", s.sloTier);
-    w.endObject();
-    w.beginObject("placement");
-    w.field("mode", s.placement);
-    w.beginArray("pin");
-    for (const data::PlacementPin &p : s.pins) {
-        w.beginObject();
-        w.field("tier", p.tier);
-        w.field("shard", p.shard);
-        w.endObject();
+    std::string open; // the nested block being written, "" at top level
+    for (const ScenarioField &f : scenarioSchema()) {
+        const std::string key = f.key;
+        const std::size_t dot = key.find('.');
+        const std::string section =
+            dot == std::string::npos ? std::string() : key.substr(0, dot);
+        if (section != open) {
+            if (!open.empty())
+                w.endObject();
+            if (!section.empty())
+                w.beginObject(section);
+            open = section;
+        }
+        writeJsonField(w, section.empty() ? key : key.substr(dot + 1), f,
+                       s);
     }
-    w.endArray();
-    w.endObject();
-    w.beginObject("generate");
-    w.field("profile", s.genProfile);
-    w.field("seed", s.genSeed);
-    w.field("depth", s.genDepth);
-    w.field("width", s.genWidth);
-    w.field("fanout", s.genFanout);
-    w.endObject();
-    w.beginObject("arrival");
-    w.field("kind", s.arrival);
-    w.field("burst", s.arrivalBurst);
-    w.field("duty", s.arrivalDuty);
-    w.field("dwell", ticksField(s.arrivalDwell));
-    w.field("period", ticksField(s.arrivalPeriod));
-    w.field("low", s.arrivalLow);
-    w.field("flash_at", ticksField(s.arrivalFlashAt));
-    w.field("flash_ramp", ticksField(s.arrivalFlashRamp));
-    w.field("flash_mult", s.arrivalFlashMult);
-    w.field("flash_hold", ticksField(s.arrivalFlashHold));
-    w.endObject();
-    w.beginArray("faults");
-    for (const fault::FaultSpec &f : s.faults)
-        writeFault(w, f);
-    w.endArray();
+    if (!open.empty())
+        w.endObject();
     w.endObject();
     return w.str() + "\n";
 }
@@ -967,30 +909,6 @@ replicationConfigFor(const Scenario &s)
     c.txnKeys = s.txnKeys;
     c.txnPrepareTimeout = s.txnPrepareTimeout;
     return c;
-}
-
-bool
-parseQosWeights(const std::string &text, unsigned &user,
-                unsigned &batch, unsigned &best)
-{
-    const std::vector<std::string> parts = splitNameList(text);
-    if (parts.size() != 3)
-        return false;
-    unsigned vals[3];
-    for (int i = 0; i < 3; ++i) {
-        const std::string &p = parts[i];
-        if (p.empty() ||
-            p.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        const unsigned long v = std::stoul(p);
-        if (v == 0 || v > 1000000)
-            return false;
-        vals[i] = static_cast<unsigned>(v);
-    }
-    user = vals[0];
-    batch = vals[1];
-    best = vals[2];
-    return true;
 }
 
 service::QosConfig
@@ -1301,44 +1219,37 @@ runWorld(WorldHandle &w, const LoadSpec &spec)
     return r;
 }
 
-ScenarioRunResult
-runScenario(const Scenario &s)
+ScenarioWorld::ScenarioWorld(const Scenario &s, bool meterEnergy)
+    : world(worldConfigFor(s), s.shards, s.threads,
+            s.placement == "partition" ? Deployment::Partition
+                                       : Deployment::Replicate)
 {
-    const WorldConfig config = worldConfigFor(s);
-    const Deployment deployment = s.placement == "partition"
-                                      ? Deployment::Partition
-                                      : Deployment::Replicate;
-    WorldHandle sharded(config, s.shards, s.threads, deployment);
-    const unsigned nshards = sharded.shards();
-
-    serverless::LambdaConfig lambda_cfg;
     if (!s.lambda.empty())
-        lambda_cfg.stateStore =
-            s.lambda == "s3" ? serverless::StateStoreKind::S3
-                             : serverless::StateStoreKind::RemoteMemory;
+        lambda.stateStore = s.lambda == "s3"
+                                ? serverless::StateStoreKind::S3
+                                : serverless::StateStoreKind::RemoteMemory;
 
-    // Per-shard application order mirrors uqsim_run step for step, so
-    // a headless sweep run reproduces the CLI's digest bit-for-bit.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    std::vector<std::unique_ptr<obs::Pipeline>> pipelines;
-    for (unsigned i = 0; i < nshards; ++i) {
-        World &world = sharded.shard(i);
-        buildScenarioApp(world, s);
-        service::App &app = *world.app;
+    // Build and configure every shard identically (modulo its seed).
+    // The step order is part of the digest: one shard reproduces the
+    // classic single-world driver bit-for-bit.
+    for (unsigned i = 0; i < world.shards(); ++i) {
+        World &w = world.shard(i);
+        buildScenarioApp(w, s);
+        service::App &app = *w.app;
 
         if (!s.lambda.empty())
-            serverless::LambdaPlatform::applyToApp(app, lambda_cfg,
-                                                   world.cluster);
+            serverless::LambdaPlatform::applyToApp(app, lambda, w.cluster);
         if (s.freqMhz > 0.0)
-            world.cluster.setAllFrequenciesMhz(s.freqMhz);
+            w.cluster.setAllFrequenciesMhz(s.freqMhz);
         if (s.slowServers > 0)
-            world.cluster.injectSlowServers(s.slowServers,
-                                            s.slowFactor);
+            w.cluster.injectSlowServers(s.slowServers, s.slowFactor);
 
+        // Client-side resilience: the same policy on the callers of
+        // every tier. Left at defaults the RPC path is the legacy one
+        // and digests match older builds bit-for-bit.
         if (s.rpcTimeout || s.retries || s.breaker || s.shed) {
             for (service::Microservice *svc : app.services()) {
-                rpc::ResiliencePolicy &pol =
-                    svc->mutableDef().resilience;
+                rpc::ResiliencePolicy &pol = svc->mutableDef().resilience;
                 pol.timeout = s.rpcTimeout;
                 if (s.retries) {
                     pol.retry.maxAttempts = s.retries + 1;
@@ -1359,29 +1270,44 @@ runScenario(const Scenario &s)
             injectors.push_back(std::move(injector));
         }
 
-        if (auto pipe = attachObservability(world, s))
+        if (meterEnergy) {
+            meters.push_back(std::make_unique<cpu::EnergyMeter>(
+                w.ctx, w.cluster, cpu::PowerModel::xeon()));
+            meters.back()->start();
+        }
+
+        if (auto pipe = attachObservability(w, s))
             pipelines.push_back(std::move(pipe));
     }
-    if (deployment == Deployment::Partition)
-        sharded.enablePartition(s.pins);
+    // Pin every tier to its home shard now that each shard's identical
+    // graph exists. Dies on a pin naming an unknown tier, the one
+    // placement error validateScenario() cannot see.
+    if (world.deployment() == Deployment::Partition)
+        world.enablePartition(s.pins);
 
-    LoadSpec load;
     load.qps = s.qps;
     load.warmup = secToTicks(s.warmupSec);
     load.measure = secToTicks(s.durationSec);
-    load.users =
-        s.skew >= 0.0
-            ? workload::UserPopulation::skewed(s.users, s.skew)
-            : workload::UserPopulation::uniform(s.users);
+    load.users = s.skew >= 0.0
+                     ? workload::UserPopulation::skewed(s.users, s.skew)
+                     : workload::UserPopulation::uniform(s.users);
     load.seed = s.seed + 1;
     load.arrival = arrivalConfigFor(s);
+}
 
+ScenarioRunResult
+runScenario(const Scenario &s)
+{
+    std::string error;
+    if (!validateScenario(s, error))
+        fatal(strCat("invalid scenario: ", error));
+    ScenarioWorld run(s);
     ScenarioRunResult out;
-    out.load = runWorld(sharded, load);
-    out.digest = sharded.engine().executionDigest();
-    out.events = sharded.engine().eventsExecuted();
-    for (unsigned i = 0; i < nshards; ++i)
-        out.failed += sharded.shard(i).app->failedRequests();
+    out.load = runWorld(run.world, run.load);
+    out.digest = run.world.engine().executionDigest();
+    out.events = run.world.engine().eventsExecuted();
+    for (unsigned i = 0; i < run.world.shards(); ++i)
+        out.failed += run.world.shard(i).app->failedRequests();
     return out;
 }
 

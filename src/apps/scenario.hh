@@ -41,11 +41,14 @@
 
 #include "apps/builder.hh"
 #include "core/parallel.hh"
+#include "cpu/power.hh"
 #include "data/config.hh"
 #include "data/placement.hh"
 #include "fault/fault.hh"
+#include "fault/injector.hh"
 #include "obs/pipeline.hh"
 #include "replica/replication.hh"
+#include "serverless/platform.hh"
 #include "trace/collector.hh"
 #include "workload/generators.hh"
 #include "workload/load_sweep.hh"
@@ -55,7 +58,8 @@ namespace uqsim::apps {
 
 /**
  * Everything that defines one run. Field-for-field the uqsim_run
- * option surface; see tools/uqsim_run.cc --help for semantics.
+ * option surface (see scenarioSchema() for the flag and JSON key of
+ * each field, and tools/uqsim_run.cc --help for semantics).
  */
 struct Scenario
 {
@@ -176,8 +180,66 @@ struct Scenario
 
     // -- faults & tracing -------------------------------------------
     std::vector<fault::FaultSpec> faults;
-    std::size_t traceCapacity = trace::TraceStore::kDefaultCapacity;
+    std::uint64_t traceCapacity = trace::TraceStore::kDefaultCapacity;
 };
+
+/** How one scenario field's value is read and written. */
+enum class FieldKind
+{
+    Number,   ///< double
+    Unsigned, ///< unsigned; values above its maximum are rejected
+    U64,      ///< std::uint64_t
+    Duration, ///< Tick: "50ms"-style text, bare numbers are ms
+    String,
+    Bool,     ///< on the CLI a switch that takes no value
+    // Hand-written special cases:
+    QosWeights, ///< the "user,batch,best" triple
+    Pin,        ///< placement.pin array; --pin TIER=SHARD appends one
+    Faults,     ///< faults array; --fault SPEC appends one
+};
+
+/**
+ * One row of the scenario schema: a field's uqsim_run flag, its dotted
+ * JSON key and the Scenario member it writes. Exactly the member that
+ * matches `kind` is set (Duration uses `u64`); the special kinds name
+ * their members in code.
+ */
+struct ScenarioField
+{
+    const char *flag; ///< uqsim_run option, or nullptr (JSON only)
+    const char *key;  ///< dotted JSON key, e.g. "data.capacity"
+    FieldKind kind;
+    double Scenario::*number = nullptr;
+    unsigned Scenario::*uns = nullptr;
+    std::uint64_t Scenario::*u64 = nullptr;
+    std::string Scenario::*string = nullptr;
+    bool Scenario::*boolean = nullptr;
+};
+
+/**
+ * The scenario schema: one row per settable field. parseScenarioJson()
+ * reads it, uqsim_run maps its flags through it, and scenarioToJson()
+ * writes it in row order.
+ */
+const std::vector<ScenarioField> &scenarioSchema();
+
+/** The schema row of uqsim_run option @p flag, or nullptr. */
+const ScenarioField *scenarioFieldForFlag(const std::string &flag);
+
+/**
+ * Apply one uqsim_run option's @p text to @p s; @p f must have a flag.
+ * Bool rows ignore @p text and set true; Pin and Faults rows append.
+ * @return false and set @p error on malformed or out-of-range text.
+ */
+bool applyScenarioFlag(Scenario &s, const ScenarioField &f,
+                       const std::string &text, std::string &error);
+
+/**
+ * Check every range and combination rule a runnable scenario obeys.
+ * Messages name the JSON key of the broken rule.
+ * @return false and set @p error on the first violation.
+ */
+bool validateScenario(const Scenario &s, std::string &error);
 
 /** The DataTierConfig a scenario's data fields describe. */
 data::DataTierConfig dataTierConfigFor(const Scenario &s);
@@ -212,19 +274,19 @@ std::unique_ptr<obs::Pipeline> attachObservability(World &w,
                                                    const Scenario &s);
 
 /**
- * Parse a "user,batch,best" weight triple (the --qos-weights / qos
- * weights format). @return false on malformed input or a zero weight
- * (a zero-weight class would starve under WRR).
+ * Overlay a scenario JSON document onto @p out without validating the
+ * result. Unknown keys are errors (typos must not silently change a
+ * run). Durations accept "50ms"-style strings or bare numbers
+ * (milliseconds); fields left out keep their values in @p out, so CLI
+ * flags before --config act as defaults. @p out is unchanged on error.
+ * @return false and set @p error on malformed input.
  */
-bool parseQosWeights(const std::string &text, unsigned &user,
-                     unsigned &batch, unsigned &best);
+bool mergeScenarioJson(const std::string &text, Scenario &out,
+                       std::string &error);
 
 /**
- * Parse a scenario JSON document. Unknown keys are errors (typos must
- * not silently change a run). Durations accept "50ms"-style strings or
- * bare numbers (milliseconds); fields left out keep their defaults in
- * @p out as passed in, so CLI flags before --config act as defaults.
- * @return false and set @p error on malformed input.
+ * mergeScenarioJson() followed by validateScenario() on the result;
+ * @p out is unchanged unless both succeed.
  */
 bool parseScenarioJson(const std::string &text, Scenario &out,
                        std::string &error);
@@ -364,12 +426,37 @@ struct ScenarioRunResult
 };
 
 /**
- * Run @p s end to end exactly as uqsim_run does — build the
- * WorldHandle, apply lambda/frequency/slow-server/resilience knobs,
- * arm faults, wire placement, drive the load window — and return the
- * aggregate result. This is the headless driver uqsim_sweep maps over
- * a corpus; uqsim_run keeps its own copy of the sequence because it
- * also renders per-shard report sections.
+ * One Scenario deployed and ready to drive. The constructor is the
+ * single per-shard setup sequence: build the app, then lambda,
+ * frequency cap, slow servers, client resilience, deadline, faults,
+ * the energy meter (only when @p meterEnergy) and observability, in
+ * that order on every shard, then partition wiring. uqsim_run and
+ * runScenario() both deploy through it, so a headless sweep reproduces
+ * the CLI's digest bit-for-bit. @p s must pass validateScenario().
+ */
+struct ScenarioWorld
+{
+    explicit ScenarioWorld(const Scenario &s, bool meterEnergy = false);
+
+    ScenarioWorld(const ScenarioWorld &) = delete;
+    ScenarioWorld &operator=(const ScenarioWorld &) = delete;
+
+    WorldHandle world;
+    serverless::LambdaConfig lambda; ///< applied when the scenario sets one
+    LoadSpec load;                   ///< the window runWorld() drives
+
+    // Per-shard attachments, empty when not asked for. Declared after
+    // the WorldHandle so they die first, while the apps they tap live.
+    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+    std::vector<std::unique_ptr<cpu::EnergyMeter>> meters;
+    std::vector<std::unique_ptr<obs::Pipeline>> pipelines;
+};
+
+/**
+ * Run @p s end to end exactly as uqsim_run does: validate it (fatal
+ * naming the broken rule), deploy a ScenarioWorld, drive the load
+ * window and return the aggregate result. This is the headless driver
+ * uqsim_sweep maps over a corpus.
  */
 ScenarioRunResult runScenario(const Scenario &s);
 

@@ -258,6 +258,79 @@ TEST(ScenarioTest, RejectsMalformedInput)
     EXPECT_FALSE(apps::parseScenarioJson(
         "{\"faults\": [{\"kind\": \"meteor\"}]}", s, error));
     EXPECT_NE(error.find("unknown fault kind"), std::string::npos);
+
+    // Integers beyond the target member's range are rejected, never
+    // wrapped (4294967297 would otherwise become 1 server).
+    EXPECT_FALSE(apps::parseScenarioJson("{\"servers\": 4294967297}", s,
+                                         error));
+    EXPECT_NE(error.find("'servers' must be <= 4294967295"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(apps::parseScenarioJson("{\"seed\": 1e30}", s, error));
+    EXPECT_NE(error.find("'seed' must be a non-negative integer"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(apps::parseScenarioJson(
+        "{\"placement\": {\"mode\": \"partition\", \"pin\": "
+        "[{\"tier\": \"t\", \"shard\": 4294967297}]}, \"shards\": 2}",
+        s, error));
+    EXPECT_NE(error.find("placement.pin.shard"), std::string::npos)
+        << error;
+    EXPECT_EQ(s.servers, apps::Scenario().servers)
+        << "a rejected document leaves the caller's scenario alone";
+}
+
+TEST(ScenarioTest, SchemaRowsAreUnique)
+{
+    const auto &schema = apps::scenarioSchema();
+    for (std::size_t i = 0; i < schema.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j) {
+            EXPECT_STRNE(schema[i].key, schema[j].key);
+            if (schema[i].flag != nullptr && schema[j].flag != nullptr) {
+                EXPECT_STRNE(schema[i].flag, schema[j].flag);
+            }
+        }
+    const apps::ScenarioField *f = apps::scenarioFieldForFlag("--cache-ttl");
+    ASSERT_NE(f, nullptr);
+    EXPECT_STREQ(f->key, "data.ttl");
+    EXPECT_EQ(apps::scenarioFieldForFlag("--report"), nullptr);
+    EXPECT_EQ(apps::scenarioFieldForFlag(""), nullptr);
+}
+
+TEST(ScenarioTest, ApplyScenarioFlagChecksRange)
+{
+    apps::Scenario s;
+    std::string error;
+    const apps::ScenarioField &servers =
+        *apps::scenarioFieldForFlag("--servers");
+    EXPECT_FALSE(apps::applyScenarioFlag(s, servers, "4294967297", error));
+    EXPECT_NE(error.find("--servers must be <= 4294967295"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(apps::applyScenarioFlag(s, servers, " -1", error));
+    EXPECT_EQ(s.servers, 5u);
+    EXPECT_TRUE(apps::applyScenarioFlag(s, servers, "4294967295", error));
+    EXPECT_EQ(s.servers, 4294967295u);
+
+    const apps::ScenarioField &pin = *apps::scenarioFieldForFlag("--pin");
+    EXPECT_FALSE(apps::applyScenarioFlag(s, pin, "t=4294967297", error));
+    EXPECT_TRUE(s.pins.empty());
+    EXPECT_TRUE(apps::applyScenarioFlag(s, pin, "t=1", error));
+    ASSERT_EQ(s.pins.size(), 1u);
+    EXPECT_EQ(s.pins[0].shard, 1u);
+}
+
+TEST(ScenarioDeathTest, RunScenarioRejectsInvalidScenario)
+{
+    // Programmatic scenarios bypass the JSON and CLI parsers; the
+    // headless driver still refuses to run one that breaks a rule.
+    apps::Scenario s;
+    s.placement = "partition";
+    s.shards = 2;
+    s.fpga = true;
+    EXPECT_EXIT(apps::runScenario(s), ::testing::ExitedWithCode(1),
+                "invalid scenario: placement 'partition' does not "
+                "support fpga");
 }
 
 TEST(ScenarioTest, ShardSeedDerivation)

@@ -17,19 +17,17 @@
  *   uqsim_run --list
  *
  * Prints a latency/goodput summary plus the requested report section.
- * The whole run is described by an apps::Scenario: flags fill one in,
- * --config loads one from JSON (later flags override it), and
- * --dump-config prints the effective scenario and exits.
+ * The whole run is described by an apps::Scenario: flags fill one in
+ * through the scenario schema, --config merges one from JSON (later
+ * flags override it), the merged result is validated once, and
+ * --dump-config prints it and exits.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,7 +35,6 @@
 #include "apps/scenario.hh"
 #include "core/logging.hh"
 #include "data/cache_model.hh"
-#include "data/keyspace.hh"
 #include "core/table.hh"
 #include "cpu/power.hh"
 #include "fault/fault.hh"
@@ -247,150 +244,49 @@ parse(int argc, char **argv, Options &opt)
             fatal(strCat("missing value for ", args[i]));
         return args[++i];
     };
-    // Strict numeric parsing: the whole value must convert, so typos
-    // like "--qps 3o0" die with a clear message instead of silently
-    // truncating to garbage the way atof/atoi would.
-    auto numDouble = [&](std::size_t &i) {
-        const std::string &flag = args[i], &v = need(i);
-        try {
-            std::size_t consumed = 0;
-            const double value = std::stod(v, &consumed);
-            if (consumed != v.size())
-                throw std::invalid_argument(v);
-            return value;
-        } catch (...) {
-            fatal(strCat("bad number '", v, "' for ", flag));
-        }
-    };
-    auto numU64 = [&](std::size_t &i) {
-        const std::string &flag = args[i], &v = need(i);
-        try {
-            std::size_t consumed = 0;
-            const unsigned long long value = std::stoull(v, &consumed);
-            if (consumed != v.size() || v[0] == '-')
-                throw std::invalid_argument(v);
-            return static_cast<std::uint64_t>(value);
-        } catch (...) {
-            fatal(strCat("bad non-negative integer '", v, "' for ",
-                         flag));
-        }
-    };
-    auto numUnsigned = [&](std::size_t &i) {
-        return static_cast<unsigned>(numU64(i));
-    };
-    auto durationVal = [&](std::size_t &i) {
-        const std::string &flag = args[i], &v = need(i);
-        Tick out = 0;
-        if (!fault::parseDuration(v, out))
-            fatal(strCat("bad duration '", v, "' for ", flag,
-                         " (want e.g. 50ms, 2s, 800us)"));
-        return out;
+    auto readFile = [](const std::string &path, const char *what) {
+        std::ifstream in(path);
+        if (!in)
+            fatal(strCat("cannot read ", what, " '", path, "'"));
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
     };
     apps::Scenario &scn = opt.scn;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
-        if (a == "--app") {
-            scn.app = need(i);
-            opt.appFlag = true;
-        } else if (a == "--generate")
-            scn.genProfile = need(i);
-        else if (a == "--gen-seed")
-            scn.genSeed = numU64(i);
-        else if (a == "--gen-depth")
-            scn.genDepth = numUnsigned(i);
-        else if (a == "--gen-width")
-            scn.genWidth = numUnsigned(i);
-        else if (a == "--gen-fanout")
-            scn.genFanout = numDouble(i);
-        else if (a == "--arrival")
-            scn.arrival = need(i);
-        else if (a == "--arrival-burst")
-            scn.arrivalBurst = numDouble(i);
-        else if (a == "--arrival-duty")
-            scn.arrivalDuty = numDouble(i);
-        else if (a == "--arrival-dwell")
-            scn.arrivalDwell = durationVal(i);
-        else if (a == "--arrival-period")
-            scn.arrivalPeriod = durationVal(i);
-        else if (a == "--arrival-low")
-            scn.arrivalLow = numDouble(i);
-        else if (a == "--arrival-flash-at")
-            scn.arrivalFlashAt = durationVal(i);
-        else if (a == "--arrival-flash-ramp")
-            scn.arrivalFlashRamp = durationVal(i);
-        else if (a == "--arrival-flash-mult")
-            scn.arrivalFlashMult = numDouble(i);
-        else if (a == "--arrival-flash-hold")
-            scn.arrivalFlashHold = durationVal(i);
-        else if (a == "--qps")
-            scn.qps = numDouble(i);
-        else if (a == "--duration")
-            scn.durationSec = numDouble(i);
-        else if (a == "--warmup")
-            scn.warmupSec = numDouble(i);
-        else if (a == "--servers")
-            scn.servers = numUnsigned(i);
-        else if (a == "--drones")
-            scn.drones = numUnsigned(i);
-        else if (a == "--core")
-            scn.core = need(i);
-        else if (a == "--freq")
-            scn.freqMhz = numDouble(i);
-        else if (a == "--fpga")
-            scn.fpga = true;
-        else if (a == "--lambda")
-            scn.lambda = need(i);
-        else if (a == "--slow-servers")
-            scn.slowServers = numUnsigned(i);
-        else if (a == "--slow-factor")
-            scn.slowFactor = numDouble(i);
-        else if (a == "--skew")
-            scn.skew = numDouble(i);
-        else if (a == "--users")
-            scn.users = numU64(i);
-        else if (a == "--seed")
-            scn.seed = numU64(i);
-        else if (a == "--shards")
-            scn.shards = numUnsigned(i);
-        else if (a == "--threads")
-            scn.threads = numUnsigned(i);
-        else if (a == "--placement")
-            scn.placement = need(i);
-        else if (a == "--pin") {
-            const std::string &flag = args[i], &v = need(i);
-            const std::size_t eq = v.find('=');
-            data::PlacementPin pin;
-            bool ok = eq != std::string::npos && eq > 0;
-            if (ok) {
-                pin.tier = v.substr(0, eq);
-                const std::string num = v.substr(eq + 1);
-                try {
-                    std::size_t consumed = 0;
-                    const unsigned long shard =
-                        std::stoul(num, &consumed);
-                    ok = !num.empty() && consumed == num.size() &&
-                         num[0] != '-';
-                    pin.shard = static_cast<unsigned>(shard);
-                } catch (...) {
-                    ok = false;
-                }
-            }
-            if (!ok)
-                fatal(strCat("bad pin '", v, "' for ", flag,
-                             " (want TIER=SHARD, e.g. user-db=1)"));
-            scn.pins.push_back(std::move(pin));
+        if (const apps::ScenarioField *f = apps::scenarioFieldForFlag(a)) {
+            const std::string text =
+                f->kind == apps::FieldKind::Bool ? "" : need(i);
+            std::string error;
+            if (!apps::applyScenarioFlag(scn, *f, text, error))
+                fatal(error);
+            // CLI-only shorthand: tuning a block switches it on.
+            if (a.rfind("--qos", 0) == 0)
+                scn.qosEnabled = true;
+            if (a.rfind("--slo-", 0) == 0 ||
+                a.rfind("--timeseries-", 0) == 0)
+                scn.obsEnabled = true;
+            if (a == "--app")
+                opt.appFlag = true;
         } else if (a == "--config") {
             // Processed in flag order: flags before act as defaults
-            // the file overrides, flags after override the file.
+            // the file overrides, flags after override the file. The
+            // merged result is validated once, below.
             const std::string &path = need(i);
-            std::ifstream in(path);
-            if (!in)
-                fatal(strCat("cannot read scenario '", path, "'"));
-            std::ostringstream text;
-            text << in.rdbuf();
             std::string error;
-            if (!apps::parseScenarioJson(text.str(), scn, error))
+            if (!apps::mergeScenarioJson(readFile(path, "scenario"), scn,
+                                         error))
                 fatal(strCat("bad scenario '", path, "': ", error));
+        } else if (a == "--faults") {
+            const std::string &path = need(i);
+            std::vector<fault::FaultSpec> specs;
+            std::string error;
+            if (!fault::parseFaultFile(readFile(path, "fault schedule"),
+                                       specs, error))
+                fatal(strCat("bad fault schedule '", path, "': ", error));
+            scn.faults.insert(scn.faults.end(), specs.begin(),
+                              specs.end());
         } else if (a == "--dump-config")
             opt.dumpConfig = true;
         else if (a == "--report")
@@ -399,137 +295,10 @@ parse(int argc, char **argv, Options &opt)
             opt.traceOut = need(i);
         else if (a == "--metrics-out")
             opt.metricsOut = need(i);
-        else if (a == "--trace-capacity")
-            scn.traceCapacity = static_cast<std::size_t>(numU64(i));
-        else if (a == "--faults") {
-            const std::string &path = need(i);
-            std::ifstream in(path);
-            if (!in)
-                fatal(strCat("cannot read fault schedule '", path, "'"));
-            std::ostringstream text;
-            text << in.rdbuf();
-            std::vector<fault::FaultSpec> specs;
-            std::string error;
-            if (!fault::parseFaultFile(text.str(), specs, error))
-                fatal(strCat("bad fault schedule '", path, "': ", error));
-            scn.faults.insert(scn.faults.end(), specs.begin(),
-                              specs.end());
-        } else if (a == "--fault") {
-            const std::string &spec_text = need(i);
-            fault::FaultSpec spec;
-            std::string error;
-            if (!fault::parseFaultFlag(spec_text, spec, error))
-                fatal(strCat("bad --fault '", spec_text, "': ", error));
-            scn.faults.push_back(std::move(spec));
-        } else if (a == "--cache-keys")
-            scn.dataKeys = numU64(i);
-        else if (a == "--cache-capacity")
-            scn.dataCapacity = numU64(i);
-        else if (a == "--cache-policy")
-            scn.dataPolicy = need(i);
-        else if (a == "--cache-popularity")
-            scn.dataPopularity = need(i);
-        else if (a == "--cache-zipf")
-            scn.dataZipfS = numDouble(i);
-        else if (a == "--cache-hot-fraction")
-            scn.dataHotFraction = numDouble(i);
-        else if (a == "--cache-hot-mass")
-            scn.dataHotMass = numDouble(i);
-        else if (a == "--cache-ttl")
-            scn.dataTtl = durationVal(i);
-        else if (a == "--cache-write")
-            scn.dataWrite = need(i);
-        else if (a == "--cache-shift")
-            scn.dataShiftPeriod = durationVal(i);
-        else if (a == "--cache-vnodes")
-            scn.dataVnodes = numUnsigned(i);
-        else if (a == "--replica-factor")
-            scn.replicaFactor = numUnsigned(i);
-        else if (a == "--replica-quorum")
-            scn.replicaQuorum = numUnsigned(i);
-        else if (a == "--replica-apply-lag")
-            scn.replicaApplyLag = durationVal(i);
-        else if (a == "--replica-election-timeout")
-            scn.replicaElectionTimeout = durationVal(i);
-        else if (a == "--replica-catch-up")
-            scn.replicaCatchUp = durationVal(i);
-        else if (a == "--replica-read")
-            scn.replicaRead = need(i);
-        else if (a == "--txn-keys")
-            scn.txnKeys = numUnsigned(i);
-        else if (a == "--txn-prepare-timeout")
-            scn.txnPrepareTimeout = durationVal(i);
-        else if (a == "--qos")
-            scn.qosEnabled = true;
-        else if (a == "--qos-weights") {
-            const std::string &flag = args[i], &v = need(i);
-            if (!apps::parseQosWeights(v, scn.qosWeightUser,
-                                       scn.qosWeightBatch,
-                                       scn.qosWeightBest))
-                fatal(strCat("bad weights '", v, "' for ", flag,
-                             " (want three positive integers "
-                             "\"user,batch,best\")"));
-            scn.qosEnabled = true;
-        } else if (a == "--qos-queue") {
-            scn.qosQueue = numUnsigned(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-rate") {
-            scn.qosRate = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-burst") {
-            scn.qosBurst = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-shed-batch") {
-            scn.qosShedBatch = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-shed-best") {
-            scn.qosShedBest = numDouble(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-batch") {
-            scn.qosBatch = need(i);
-            scn.qosEnabled = true;
-        } else if (a == "--qos-best-effort") {
-            scn.qosBestEffort = need(i);
-            scn.qosEnabled = true;
-        } else if (a == "--slo-latency") {
-            scn.sloLatency = durationVal(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-quantile") {
-            scn.sloQuantile = numDouble(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-window") {
-            scn.sloWindow = numUnsigned(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-error-rate") {
-            scn.sloErrorRate = numDouble(i);
-            scn.obsEnabled = true;
-        } else if (a == "--slo-tier") {
-            scn.sloTier = need(i);
-            scn.obsEnabled = true;
-        } else if (a == "--timeseries-interval") {
-            scn.obsInterval = durationVal(i);
-            scn.obsEnabled = true;
-        } else if (a == "--timeseries-ring") {
-            scn.obsRing = numU64(i);
-            scn.obsEnabled = true;
-        } else if (a == "--timeseries-out") {
+        else if (a == "--timeseries-out") {
             opt.timeseriesOut = need(i);
             scn.obsEnabled = true;
-        } else if (a == "--rpc-timeout")
-            scn.rpcTimeout = durationVal(i);
-        else if (a == "--deadline")
-            scn.deadline = durationVal(i);
-        else if (a == "--retries")
-            scn.retries = numUnsigned(i);
-        else if (a == "--retry-budget") {
-            scn.retryBudget = numDouble(i);
-            if (scn.retryBudget < 0.0)
-                fatal("--retry-budget must be >= 0");
-        } else if (a == "--breaker")
-            scn.breaker = true;
-        else if (a == "--shed")
-            scn.shed = numUnsigned(i);
-        else if (a == "--list" || a == "--list-apps")
+        } else if (a == "--list" || a == "--list-apps")
             opt.list = true;
         else if (a == "--list-gen-profiles")
             opt.listGenProfiles = true;
@@ -548,156 +317,12 @@ parse(int argc, char **argv, Options &opt)
         fatal(strCat("unknown report kind '", opt.report,
                      "' (want summary, services, traces, cost, energy, "
                      "resilience, data, qos, replication or slo)"));
-    if (scn.qps <= 0.0)
-        fatal("--qps must be positive");
-    if (scn.durationSec <= 0.0)
-        fatal("--duration must be positive");
-    if (scn.warmupSec < 0.0)
-        fatal("--warmup must be non-negative");
-    if (scn.servers == 0)
-        fatal("--servers must be positive");
-    if (scn.shards == 0)
-        fatal("--shards must be positive");
-    if (scn.threads == 0)
-        fatal("--threads must be positive");
-    if (scn.placement != "none" && scn.placement != "replicate" &&
-        scn.placement != "partition")
-        fatal(strCat("unknown --placement mode '", scn.placement,
-                     "' (want none, replicate or partition)"));
-    if (!scn.pins.empty() && scn.placement != "partition")
-        fatal("--pin needs --placement partition");
-    if (scn.placement == "partition") {
-        // Same feature matrix the scenario-JSON parser enforces.
-        if (!scn.faults.empty())
-            fatal("--placement partition does not support faults");
-        if (scn.replicaFactor >= 2)
-            fatal("--placement partition does not support replication");
-        if (scn.fpga)
-            fatal("--placement partition does not support --fpga");
-        if (!scn.lambda.empty())
-            fatal("--placement partition does not support --lambda");
-        if (scn.app.rfind("swarm-", 0) == 0)
-            fatal(strCat("--placement partition does not support app '",
-                         scn.app, "'"));
-        for (const data::PlacementPin &pin : scn.pins)
-            if (pin.shard >= scn.shards)
-                fatal(strCat("placement pin '", pin.tier,
-                             "' targets shard ", pin.shard,
-                             " but only ", scn.shards,
-                             " shards exist"));
-        for (std::size_t pi = 0; pi < scn.pins.size(); ++pi)
-            for (std::size_t pj = 0; pj < pi; ++pj)
-                if (scn.pins[pi].tier == scn.pins[pj].tier)
-                    fatal(strCat("duplicate placement pin for tier '",
-                                 scn.pins[pi].tier, "'"));
-    }
-    if (scn.skew >= 100.0)
-        fatal("--skew must be below 100");
-    if (!scn.lambda.empty() && scn.lambda != "s3" && scn.lambda != "mem")
-        fatal(strCat("unknown --lambda kind '", scn.lambda,
-                     "' (want s3 or mem)"));
-    cpu::CoreModel core_check;
-    if (!apps::coreModelByName(scn.core, core_check))
-        fatal(strCat("unknown core model '", scn.core, "'"));
-    {
-        // Same rules the scenario-JSON parser enforces; flags must not
-        // be a loophole around them.
-        data::CachePolicy pol;
-        if (!data::cachePolicyByName(scn.dataPolicy, pol))
-            fatal(strCat("unknown --cache-policy '", scn.dataPolicy,
-                         "' (want lru, lfu or slru)"));
-        data::Popularity pop;
-        if (!data::popularityByName(scn.dataPopularity, pop))
-            fatal(strCat("unknown --cache-popularity '",
-                         scn.dataPopularity,
-                         "' (want zipf, uniform or hotspot)"));
-        data::WritePolicy wp;
-        if (!data::writePolicyByName(scn.dataWrite, wp))
-            fatal(strCat("unknown --cache-write '", scn.dataWrite,
-                         "' (want through or invalidate)"));
-        if (scn.dataKeys > 0 && scn.dataCapacity == 0)
-            fatal("--cache-capacity must be positive");
-        if (scn.dataZipfS < 0.0)
-            fatal("--cache-zipf must be non-negative");
-        if (scn.dataHotFraction <= 0.0 || scn.dataHotFraction > 1.0)
-            fatal("--cache-hot-fraction must be in (0, 1]");
-        if (scn.dataHotMass < 0.0 || scn.dataHotMass > 1.0)
-            fatal("--cache-hot-mass must be in [0, 1]");
-        if (scn.dataVnodes == 0)
-            fatal("--cache-vnodes must be positive");
-        replica::ReadPreference rp;
-        if (!replica::readPreferenceByName(scn.replicaRead, rp))
-            fatal(strCat("unknown --replica-read '", scn.replicaRead,
-                         "' (want leader, nearest or ryw)"));
-        if (scn.replicaFactor == 1)
-            fatal("--replica-factor must be 0 (off) or >= 2");
-        if (scn.replicaFactor >= 2 && scn.dataKeys == 0)
-            fatal("--replica-factor needs --cache-keys");
-        if (scn.replicaQuorum > scn.replicaFactor)
-            fatal("--replica-quorum must be <= --replica-factor");
-        if (scn.replicaFactor >= 2 && scn.replicaApplyLag == 0)
-            fatal("--replica-apply-lag must be positive");
-        if (scn.replicaFactor >= 2 && scn.replicaElectionTimeout == 0)
-            fatal("--replica-election-timeout must be positive");
-        if (scn.txnKeys == 1)
-            fatal("--txn-keys must be 0 (off) or >= 2");
-        if (scn.txnKeys >= 2 && scn.replicaFactor < 2)
-            fatal("--txn-keys needs --replica-factor");
-        if (scn.txnKeys >= 2 && scn.txnPrepareTimeout == 0)
-            fatal("--txn-prepare-timeout must be positive");
-        if (scn.qosRate < 0.0)
-            fatal("--qos-rate must be >= 0");
-        if (scn.qosBurst <= 0.0)
-            fatal("--qos-burst must be positive");
-        if (scn.qosShedBatch <= 0.0 || scn.qosShedBatch > 1.0)
-            fatal("--qos-shed-batch must be in (0, 1]");
-        if (scn.qosShedBest <= 0.0 || scn.qosShedBest > 1.0)
-            fatal("--qos-shed-best must be in (0, 1]");
-        if (scn.obsInterval == 0)
-            fatal("--timeseries-interval must be positive");
-        if (scn.obsRing == 0)
-            fatal("--timeseries-ring must be positive");
-        if (scn.sloQuantile <= 0.0 || scn.sloQuantile >= 1.0)
-            fatal("--slo-quantile must be in (0, 1)");
-        if (scn.sloWindow == 0)
-            fatal("--slo-window must be positive");
-        if (scn.sloErrorRate < 0.0 || scn.sloErrorRate > 1.0)
-            fatal("--slo-error-rate must be in [0, 1]");
-    }
     if (opt.appFlag && !scn.genProfile.empty())
         fatal("--generate conflicts with --app (the sampled topology "
               "replaces the hand-written app)");
-    if (!scn.genProfile.empty() &&
-        gen::genProfileByName(scn.genProfile) == nullptr)
-        fatal(strCat("unknown gen profile '", scn.genProfile,
-                     "' (try --list-gen-profiles)"));
-    if (scn.genProfile.empty() &&
-        (scn.genDepth != 0 || scn.genWidth != 0 || scn.genFanout != 0.0))
-        fatal("--gen-depth/--gen-width/--gen-fanout need --generate");
-    if (scn.genDepth > 8)
-        fatal("--gen-depth must be <= 8");
-    if (scn.genWidth > 8)
-        fatal("--gen-width must be <= 8");
-    if (scn.genFanout < 0.0 || scn.genFanout > 8.0)
-        fatal("--gen-fanout must be in [0, 8]");
-    workload::ArrivalKind arrival_kind;
-    if (!workload::arrivalKindByName(scn.arrival, arrival_kind))
-        fatal(strCat("unknown --arrival kind '", scn.arrival,
-                     "' (want poisson, mmpp, diurnal or flash)"));
-    if (scn.arrivalBurst < 1.0)
-        fatal("--arrival-burst must be >= 1");
-    if (scn.arrivalDuty <= 0.0 || scn.arrivalDuty >= 1.0)
-        fatal("--arrival-duty must be in (0, 1)");
-    if (scn.arrivalDwell == 0)
-        fatal("--arrival-dwell must be positive");
-    if (scn.arrivalPeriod == 0)
-        fatal("--arrival-period must be positive");
-    if (scn.arrivalLow <= 0.0 || scn.arrivalLow > 1.0)
-        fatal("--arrival-low must be in (0, 1]");
-    if (scn.arrivalFlashMult < 1.0)
-        fatal("--arrival-flash-mult must be >= 1");
-    if (scn.arrivalFlashRamp == 0)
-        fatal("--arrival-flash-ramp must be positive");
+    std::string error;
+    if (!apps::validateScenario(scn, error))
+        fatal(strCat("invalid scenario: ", error));
     return true;
 }
 
@@ -759,106 +384,21 @@ main(int argc, char **argv)
     }
     const apps::Scenario &scn = opt.scn;
 
-    const apps::WorldConfig config = apps::worldConfigFor(scn);
-    const apps::Deployment deployment =
-        scn.placement == "partition" ? apps::Deployment::Partition
-                                     : apps::Deployment::Replicate;
-    apps::WorldHandle sharded(config, scn.shards, scn.threads,
-                              deployment);
+    apps::ScenarioWorld deployed(scn, opt.report == "energy");
+    apps::WorldHandle &sharded = deployed.world;
     const unsigned nshards = sharded.shards();
-
-    serverless::LambdaConfig lambda_cfg;
-    if (!scn.lambda.empty())
-        lambda_cfg.stateStore = scn.lambda == "s3"
-                                    ? serverless::StateStoreKind::S3
-                                    : serverless::StateStoreKind::
-                                          RemoteMemory;
-
-    // Build and configure every shard identically (modulo its seed).
-    // Per-shard application order matches the classic single-world
-    // driver step for step, so one shard reproduces it bit-for-bit.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    std::vector<std::unique_ptr<cpu::EnergyMeter>> meters;
-    // One pipeline per shard, sampling its own replica. Declared after
-    // the WorldHandle so each pipeline dies first, while the app it
-    // taps is still alive.
-    std::vector<std::unique_ptr<obs::Pipeline>> pipelines;
-    for (unsigned s = 0; s < nshards; ++s) {
-        apps::World &world = sharded.shard(s);
-        apps::buildScenarioApp(world, scn);
-        service::App &app = *world.app;
-
-        if (!scn.lambda.empty())
-            serverless::LambdaPlatform::applyToApp(app, lambda_cfg,
-                                                   world.cluster);
-        if (scn.freqMhz > 0.0)
-            world.cluster.setAllFrequenciesMhz(scn.freqMhz);
-        if (scn.slowServers > 0)
-            world.cluster.injectSlowServers(scn.slowServers,
-                                            scn.slowFactor);
-
-        // Client-side resilience: apply the same policy to the callers
-        // of every tier. Left untouched (all flags at defaults) the RPC
-        // path is the legacy one and digests match older builds
-        // bit-for-bit.
-        if (scn.rpcTimeout || scn.retries || scn.breaker || scn.shed) {
-            for (service::Microservice *svc : app.services()) {
-                rpc::ResiliencePolicy &pol = svc->mutableDef().resilience;
-                pol.timeout = scn.rpcTimeout;
-                if (scn.retries) {
-                    pol.retry.maxAttempts = scn.retries + 1;
-                    pol.retry.budgetRatio = scn.retryBudget;
-                }
-                pol.breaker.enabled = scn.breaker;
-                pol.shedQueueLength = scn.shed;
-            }
-        }
-        if (scn.deadline)
-            app.setRequestDeadline(scn.deadline);
-
-        if (!scn.faults.empty()) {
-            auto injector = std::make_unique<fault::FaultInjector>(
-                app, apps::WorldHandle::shardSeed(scn.seed, s));
-            injector->addAll(scn.faults);
-            injector->arm();
-            injectors.push_back(std::move(injector));
-        }
-
-        meters.push_back(std::make_unique<cpu::EnergyMeter>(
-            world.ctx, world.cluster, cpu::PowerModel::xeon()));
-        if (opt.report == "energy")
-            meters.back()->start();
-
-        if (auto pipe = apps::attachObservability(world, scn))
-            pipelines.push_back(std::move(pipe));
-    }
-    if (!injectors.empty()) {
+    const std::vector<std::unique_ptr<obs::Pipeline>> &pipelines =
+        deployed.pipelines;
+    if (!deployed.injectors.empty()) {
         // Every shard arms the same schedule; print it once.
         std::cout << "armed fault schedule:\n";
-        for (const fault::FaultSpec &spec : injectors.front()->schedule())
+        for (const fault::FaultSpec &spec :
+             deployed.injectors.front()->schedule())
             std::cout << "  " << spec.describe() << "\n";
     }
 
-    // Partitioned deployment: pin every tier to its home shard now
-    // that each shard's (identical) graph exists. Dies on a pin naming
-    // an unknown tier — the one placement error flag validation alone
-    // cannot catch.
-    if (deployment == apps::Deployment::Partition)
-        sharded.enablePartition(scn.pins);
-
     service::App &app = *sharded.shard(0).app;
-    const workload::UserPopulation users =
-        scn.skew >= 0.0
-            ? workload::UserPopulation::skewed(scn.users, scn.skew)
-            : workload::UserPopulation::uniform(scn.users);
-    apps::LoadSpec load;
-    load.qps = scn.qps;
-    load.warmup = secToTicks(scn.warmupSec);
-    load.measure = secToTicks(scn.durationSec);
-    load.users = users;
-    load.seed = scn.seed + 1;
-    load.arrival = apps::arrivalConfigFor(scn);
-    const auto r = apps::runWorld(sharded, load);
+    const auto r = apps::runWorld(sharded, deployed.load);
 
     // Cross-shard sums for the summary/report sections.
     std::uint64_t failed_total = 0;
@@ -881,10 +421,10 @@ main(int argc, char **argv)
     std::cout << (scn.genProfile.empty() ? scn.app
                                          : "gen:" + scn.genProfile)
               << " @ " << scn.qps << " qps on " << scn.servers
-              << "x " << config.coreModel.name;
+              << "x " << sharded.shard(0).config().coreModel.name;
     if (nshards > 1)
         std::cout << " (" << nshards << " shards, "
-                  << (deployment == apps::Deployment::Partition
+                  << (sharded.deployment() == apps::Deployment::Partition
                           ? "partitioned, "
                           : "")
                   << sharded.engine().threads() << " threads)";
@@ -995,9 +535,9 @@ main(int argc, char **argv)
             for (unsigned s = 0; s < nshards; ++s) {
                 service::App &a = *sharded.shard(s).app;
                 inv += serverless::LambdaPlatform::invocations(
-                    a, lambda_cfg.storeName);
+                    a, deployed.lambda.storeName);
                 billed += serverless::LambdaPlatform::billedDuration(
-                    a, lc, lambda_cfg.storeName);
+                    a, lc, deployed.lambda.storeName);
             }
             const double scale = 600.0 / scn.durationSec;
             std::cout << "Lambda (" << scn.lambda << " state): $"
@@ -1264,7 +804,7 @@ main(int argc, char **argv)
     }
     if (opt.report == "energy") {
         double joules = 0.0, watts = 0.0;
-        for (const auto &meter : meters) {
+        for (const auto &meter : deployed.meters) {
             joules += meter->totalJoules();
             watts += meter->averageWatts();
         }
