@@ -27,7 +27,6 @@ EventPool::allocate()
 void
 EventPool::release(EventNode *node)
 {
-    node->cb = nullptr; // drop captured resources promptly
     node->next = freeList;
     freeList = node;
 }
@@ -52,6 +51,16 @@ EventQueue::EventQueue()
       occWords_(kWords, 0),
       sumWords_(kWords / 64, 0)
 {}
+
+EventQueue::~EventQueue()
+{
+    for (auto &chunk : pool_->chunks) {
+        for (std::size_t i = 0; i < detail::EventPool::kChunkNodes; ++i) {
+            EventCallback dead;
+            dead.swap(chunk[i].cb);
+        }
+    }
+}
 
 EventHandle
 EventQueue::schedule(Tick when, EventCallback cb)
@@ -104,6 +113,12 @@ void
 EventQueue::retire(detail::EventNode *node) const
 {
     node->inQueue = false;
+    // Drop the callback even while handles keep the node: a cancelled
+    // closure often owns the very handle naming it (an attempt and its
+    // timeout), and a kept callback would pin both for good. It dies
+    // after the bookkeeping, since its own handles re-enter release().
+    EventCallback dead;
+    dead.swap(node->cb);
     if (node->handleRefs == 0)
         pool_->release(node);
 }

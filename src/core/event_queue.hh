@@ -82,7 +82,8 @@ struct EventPool
     /** Pop a node off the free list, growing the pool if needed. */
     EventNode *allocate();
 
-    /** Return a retired, unreferenced node to the free list. */
+    /** Return a retired, unreferenced (and callback-free) node to the
+     *  free list. */
     void release(EventNode *node);
 };
 
@@ -187,6 +188,13 @@ class EventQueue
   public:
     EventQueue();
 
+    /**
+     * Drops every pending callback first: one may own a handle into
+     * this queue's pool (an RPC attempt owns its timeout), which would
+     * otherwise keep the pool, and everything it holds, alive forever.
+     */
+    ~EventQueue();
+
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -286,7 +294,10 @@ class EventQueue
     /** Drop cancelled entries from the top of the overflow heap. */
     void purgeHeapTop() const;
 
-    /** Unlink a retired node; recycle it if no handles remain. */
+    /**
+     * Unlink a retired node and drop its callback; recycle the node if
+     * no handles remain.
+     */
     void retire(detail::EventNode *node) const;
 
     /**

@@ -33,6 +33,10 @@ struct AttemptState
 {
     std::shared_ptr<bool> settled = std::make_shared<bool>(false);
     App *app = nullptr;
+    /** The call this attempts, and its sizes on the wire. */
+    App::RpcCall call;
+    RpcBytes bytes;
+    unsigned attemptNo = 1;
     rpc::ConnectionPool *pool = nullptr;
     rpc::ConnectionPool::Ticket ticket =
         rpc::ConnectionPool::kGrantedImmediately;
@@ -47,6 +51,13 @@ struct AttemptState
     Tick callerNet = 0;
     RpcDone done;
 
+    /** The calling tier (null for the end-user client). */
+    Microservice *
+    callerSvc() const
+    {
+        return call.callerInst ? &call.callerInst->svc() : nullptr;
+    }
+
     ~AttemptState()
     {
         // An attempt can die without settling (e.g. its message was
@@ -56,6 +67,31 @@ struct AttemptState
             app->unregisterAttempt(*target, this);
     }
 };
+
+namespace {
+
+/** First failure wins a span's status. */
+void
+failSpan(trace::Span &span, RpcStatus status)
+{
+    if (status != RpcStatus::Ok && span.status == 0)
+        span.status = static_cast<std::uint8_t>(status);
+}
+
+/**
+ * Join a finished child call into the calling handler's span: its
+ * caller-side network time, the rest of its wall time as downstream
+ * wait, and its failure.
+ */
+void
+joinCall(trace::Span &span, RpcStatus status, Tick wall, Tick caller_net)
+{
+    span.networkTime += caller_net;
+    span.downstreamWait += wall > caller_net ? wall - caller_net : 0;
+    failSpan(span, status);
+}
+
+} // namespace
 
 App::App(SimContext ctx, cpu::Cluster &cluster, net::Network &network,
          Config config, std::uint64_t seed)
@@ -86,6 +122,15 @@ App::App(SimContext ctx, cpu::Cluster &cluster, net::Network &network,
     rpcPoolTimeouts_ = &metrics_.counter("rpc.pool.acquire_timeouts");
     rpcCrashedInFlight_ = &metrics_.counter("rpc.crashed_in_flight");
     rpcAbandonedArrivals_ = &metrics_.counter("rpc.abandoned_arrivals");
+}
+
+App::~App()
+{
+    // Attempts still in flight at teardown die with the event queue,
+    // after this app: keep their destructors off the registry.
+    for (auto &entry : inflight_)
+        for (AttemptState *as : entry.second)
+            as->registered = false;
 }
 
 Microservice &
@@ -621,180 +666,219 @@ App::chargeNetwork(Microservice *svc, double cycles, double ipc)
         svc->chargeKernel(cycles, cycles * ipc);
 }
 
-void
-App::rpcCall(unsigned caller_server, Instance *caller_inst,
-             Microservice &target, RequestPtr req,
-             trace::SpanId parent_span, Bytes req_bytes, Bytes resp_bytes,
-             bool carries_media, RpcDone done, data::RouteHint route)
+const void *
+App::callerKey(const RpcCall &call) const
 {
-    const rpc::ResiliencePolicy &pol = target.def().resilience;
+    return call.callerInst ? static_cast<const void *>(call.callerInst)
+                           : static_cast<const void *>(this);
+}
+
+void
+App::rpcCall(RpcCall call, RpcDone done)
+{
+    const rpc::ResiliencePolicy &pol = call.target->def().resilience;
     if (!pol.active()) {
         // Legacy fire-and-wait path: no gates, no retries, no extra
         // events — byte-identical execution to the pre-resilience
         // runtime (the digest tests depend on this).
-        rpcAttempt(caller_server, caller_inst, target, req, parent_span,
-                   req_bytes, resp_bytes, carries_media, 1,
-                   std::move(done), route);
+        rpcAttempt(call, 1, std::move(done));
         return;
     }
-
-    App *app = this;
-    Microservice *tgt = &target;
-    const void *caller_key =
-        caller_inst ? static_cast<const void *>(caller_inst)
-                    : static_cast<const void *>(this);
     rpc::CircuitBreaker *br =
-        pol.breaker.enabled ? &breakerFor(caller_key, target) : nullptr;
-
-    const Tick call_start = ctx_.now();
-    if (req->deadline && call_start >= req->deadline) {
-        rpcDeadlineExceeded_->inc();
-        rpcErrors_->inc();
-        recordErrorSpan(req, parent_span, target, call_start, 1,
-                        RpcStatus::DeadlineExceeded);
-        done(RpcStatus::DeadlineExceeded, 0, 0);
+        pol.breaker.enabled ? &breakerFor(callerKey(call), *call.target)
+                            : nullptr;
+    const RpcStatus gate = gateAttempt(*call.req, br);
+    if (gate != RpcStatus::Ok) {
+        // Only a refused first attempt records a span of its own; a
+        // refused retry is told by its failed predecessor's span.
+        recordErrorSpan(call.req, call.parentSpan, *call.target,
+                        ctx_.now(), 1, gate);
+        done(gate, 0, 0);
         return;
     }
-    if (br && !br->allow(call_start)) {
-        rpcBreakerFastFails_->inc();
-        rpcErrors_->inc();
-        recordErrorSpan(req, parent_span, target, call_start, 1,
-                        RpcStatus::BreakerOpen);
-        done(RpcStatus::BreakerOpen, 0, 0);
-        return;
-    }
-
     // The budget earns on first attempts only, so retry traffic is
     // capped at budgetRatio of the offered load.
     if (pol.retry.enabled() && pol.retry.budgetRatio > 0.0)
-        budgetFor(target).onAttempt();
-
-    // Retry loop: ctl->attempt references itself (for rescheduling),
-    // so the cycle must be broken explicitly when the call finishes.
-    struct RetryCtl
-    {
-        std::function<void(unsigned)> attempt;
-        RpcDone done;
-    };
-    auto ctl = std::make_shared<RetryCtl>();
-    ctl->done = std::move(done);
-    auto finish = [ctl](RpcStatus s, Tick w, Tick n) {
-        auto d = std::move(ctl->done);
-        ctl->attempt = nullptr;
-        d(s, w, n);
-    };
-
-    ctl->attempt = [app, caller_server, caller_inst, tgt, req, parent_span,
-                    req_bytes, resp_bytes, carries_media, route, br, ctl,
-                    finish](unsigned attempt_no) {
-        const Tick attempt_start = app->ctx_.now();
-        app->rpcAttempt(caller_server, caller_inst, *tgt, req, parent_span,
-                        req_bytes, resp_bytes, carries_media, attempt_no,
-                        [app, tgt, req, parent_span, br, ctl, finish,
-                         attempt_no, attempt_start](RpcStatus status,
-                                                    Tick wall,
-                                                    Tick caller_net) {
-            const Tick now = app->ctx_.now();
-            if (br)
-                br->record(now, status == RpcStatus::Ok);
-            if (status == RpcStatus::Ok) {
-                finish(status, wall, caller_net);
-                return;
-            }
-            app->rpcErrors_->inc();
-            app->recordErrorSpan(req, parent_span, *tgt, attempt_start,
-                                 attempt_no, status);
-
-            const rpc::RetryPolicy &rp = tgt->def().resilience.retry;
-            bool retry = rp.enabled() && attempt_no < rp.maxAttempts &&
-                         status != RpcStatus::DeadlineExceeded;
-            if (retry && req->deadline && now >= req->deadline)
-                retry = false;
-            if (retry && rp.budgetRatio > 0.0 &&
-                !app->budgetFor(*tgt).tryWithdraw()) {
-                app->rpcRetryBudgetExhausted_->inc();
-                retry = false;
-            }
-            if (!retry) {
-                finish(status, wall, caller_net);
-                return;
-            }
-            app->rpcRetries_->inc();
-            ++req->retries;
-
-            // Exponential backoff, decorrelated by jitter drawn from
-            // the dedicated resilience stream (never the model RNG).
-            Tick backoff = rp.baseBackoff;
-            for (unsigned i = 1; i < attempt_no && backoff < rp.maxBackoff;
-                 ++i)
-                backoff *= 2;
-            backoff = std::min(backoff, rp.maxBackoff);
-            if (rp.jitter > 0.0 && backoff > 0) {
-                const double lo =
-                    std::clamp(1.0 - rp.jitter, 0.0, 1.0);
-                backoff = static_cast<Tick>(
-                    static_cast<double>(backoff) *
-                    app->resilienceRng_.uniform(lo, 1.0));
-            }
-            app->ctx_.schedule(backoff, [app, tgt, req, br, ctl, finish,
-                                         attempt_no]() {
-                const Tick t = app->ctx_.now();
-                if (req->deadline && t >= req->deadline) {
-                    app->rpcDeadlineExceeded_->inc();
-                    app->rpcErrors_->inc();
-                    finish(RpcStatus::DeadlineExceeded, 0, 0);
-                    return;
-                }
-                if (br && !br->allow(t)) {
-                    app->rpcBreakerFastFails_->inc();
-                    app->rpcErrors_->inc();
-                    finish(RpcStatus::BreakerOpen, 0, 0);
-                    return;
-                }
-                ctl->attempt(attempt_no + 1);
-            });
-        },
-                        route);
-    };
-    ctl->attempt(1);
+        budgetFor(*call.target).onAttempt();
+    retryAttempt(std::move(call), br, 1, std::move(done));
 }
 
 void
-App::rpcAttempt(unsigned caller_server, Instance *caller_inst,
-                Microservice &target, RequestPtr req,
-                trace::SpanId parent_span, Bytes req_bytes,
-                Bytes resp_bytes, bool carries_media, unsigned attempt_no,
-                RpcDone done, data::RouteHint route)
+App::stageCall(const std::shared_ptr<HandlerCtx> &ctx, const Stage &stage,
+               Microservice &target, RpcDone done, data::RouteHint route)
 {
-    // Capture only pointers to stable objects (the App owns services;
-    // ServiceDef, pools and instances never move during a run).
-    App *app = this;
-    Microservice *tgt = &target;
-    const rpc::ProtocolModel *proto = &target.def().protocol;
+    rpcCall({.callerServer = ctx->inst->server().id(),
+             .callerInst = ctx->inst,
+             .target = &target,
+             .req = ctx->req,
+             .parentSpan = ctx->span.spanId,
+             .reqBytes = stage.requestBytes,
+             .respBytes = stage.responseBytes,
+             .carriesMedia = stage.carriesMedia,
+             .route = route},
+            std::move(done));
+}
 
-    const QueryType &qt = queryTypes_[req->queryType];
-    const Bytes req_payload =
-        (req_bytes ? req_bytes : target.def().defaultRequestBytes) +
-        (carries_media ? qt.extraPayloadBytes : 0);
-    const Bytes resp_payload =
-        resp_bytes ? resp_bytes : target.def().defaultResponseBytes;
-    const Bytes req_wire = proto->wireSize(req_payload);
-    const Bytes resp_wire = proto->wireSize(resp_payload);
+RpcStatus
+App::gateAttempt(const Request &req, rpc::CircuitBreaker *br)
+{
+    const Tick now = ctx_.now();
+    if (req.deadline && now >= req.deadline) {
+        rpcDeadlineExceeded_->inc();
+        rpcErrors_->inc();
+        return RpcStatus::DeadlineExceeded;
+    }
+    if (br && !br->allow(now)) {
+        rpcBreakerFastFails_->inc();
+        rpcErrors_->inc();
+        return RpcStatus::BreakerOpen;
+    }
+    return RpcStatus::Ok;
+}
 
-    const void *caller_key =
-        caller_inst ? static_cast<const void *>(caller_inst)
-                    : static_cast<const void *>(this);
-    rpc::ConnectionPool *pool = &poolFor(caller_key, target);
-    Microservice *caller_svc = caller_inst ? &caller_inst->svc() : nullptr;
+void
+App::retryAttempt(RpcCall call, rpc::CircuitBreaker *br, unsigned attempt_no,
+                  RpcDone done)
+{
+    const Tick attempt_start = ctx_.now();
+    rpcAttempt(call, attempt_no,
+               [this, call, br, attempt_no, attempt_start,
+                done = std::move(done)](RpcStatus status, Tick wall,
+                                        Tick caller_net) mutable {
+        const Tick now = ctx_.now();
+        if (br)
+            br->record(now, status == RpcStatus::Ok);
+        if (status == RpcStatus::Ok) {
+            done(status, wall, caller_net);
+            return;
+        }
+        rpcErrors_->inc();
+        recordErrorSpan(call.req, call.parentSpan, *call.target,
+                        attempt_start, attempt_no, status);
 
-    const rpc::ResiliencePolicy *pol = &target.def().resilience;
-    // Crash-aware selection + zombie guards engage with any policy or
-    // armed fault schedule; the plain path stays exactly legacy.
-    const bool resilient = pol->active() || crashTracking_;
+        const rpc::RetryPolicy &rp = call.target->def().resilience.retry;
+        bool retry = rp.enabled() && attempt_no < rp.maxAttempts &&
+                     status != RpcStatus::DeadlineExceeded;
+        if (retry && call.req->deadline && now >= call.req->deadline)
+            retry = false;
+        if (retry && rp.budgetRatio > 0.0 &&
+            !budgetFor(*call.target).tryWithdraw()) {
+            rpcRetryBudgetExhausted_->inc();
+            retry = false;
+        }
+        if (!retry) {
+            done(status, wall, caller_net);
+            return;
+        }
+        rpcRetries_->inc();
+        ++call.req->retries;
+
+        // Exponential backoff, decorrelated by jitter drawn from the
+        // dedicated resilience stream (never the model RNG).
+        Tick backoff = rp.baseBackoff;
+        for (unsigned i = 1; i < attempt_no && backoff < rp.maxBackoff; ++i)
+            backoff *= 2;
+        backoff = std::min(backoff, rp.maxBackoff);
+        if (rp.jitter > 0.0 && backoff > 0) {
+            const double lo = std::clamp(1.0 - rp.jitter, 0.0, 1.0);
+            backoff = static_cast<Tick>(static_cast<double>(backoff) *
+                                        resilienceRng_.uniform(lo, 1.0));
+        }
+        ctx_.schedule(backoff, [this, call = std::move(call), br, attempt_no,
+                                done = std::move(done)]() mutable {
+            const RpcStatus gate = gateAttempt(*call.req, br);
+            if (gate != RpcStatus::Ok) {
+                done(gate, 0, 0);
+                return;
+            }
+            retryAttempt(std::move(call), br, attempt_no + 1,
+                         std::move(done));
+        });
+    });
+}
+
+template <typename Done>
+void
+App::netLeg(cpu::Server &server, Microservice *svc,
+            const rpc::ProtocolModel &proto, LegDir dir, Bytes payload,
+            Bytes wire, RequestPtr req, std::shared_ptr<AttemptState> as,
+            Done done)
+{
+    const net::FpgaOffloadModel &fpga = config_.fpga;
+    const bool send = dir == LegDir::Send;
+    const Cycles tcp =
+        send ? (fpga.enabled ? fpga.hostSendCycles
+                             : config_.tcp.sendCost(wire))
+             : (fpga.enabled ? fpga.hostRecvCycles
+                             : config_.tcp.recvCost(wire));
+    const Cycles cycles = tcp + (send ? proto.serializeCost(payload)
+                                      : proto.deserializeCost(payload));
+    const double tcp_frac = static_cast<double>(tcp) /
+                            static_cast<double>(std::max<Cycles>(1, cycles));
+    const double ipc = kernelIpc(server);
+    chargeNetwork(svc, static_cast<double>(cycles), ipc);
+    server.execute(cycles, ipc,
+                   [req = std::move(req), as = std::move(as), tcp_frac,
+                    done = std::move(done)](Tick busy) mutable {
+        if (as && *as->settled)
+            return;
+        req->networkTime += busy;
+        req->tcpProcTime +=
+            static_cast<Tick>(tcp_frac * static_cast<double>(busy));
+        if (as)
+            as->callerNet += busy;
+        done(busy);
+    });
+}
+
+template <typename Done>
+void
+App::wireLeg(unsigned from, unsigned to, Bytes wire,
+             std::shared_ptr<AttemptState> as, Done done)
+{
+    // With the offload, the FPGA pipeline sits between wire and host.
+    const Tick fpga_lat =
+        config_.fpga.enabled ? config_.fpga.pipelineLatency : 0;
+    network_.send(from, to, wire,
+                  [this, as = std::move(as), fpga_lat,
+                   done = std::move(done)](Tick queueing_tx,
+                                           Tick prop) mutable {
+        auto land = [as, queueing_tx, prop, fpga_lat,
+                     done = std::move(done)]() mutable {
+            if (*as->settled)
+                return; // the caller moved on while this was in flight
+            Request &req = *as->call.req;
+            req.networkTime += queueing_tx + fpga_lat;
+            req.tcpProcTime += fpga_lat;
+            req.wireTime += prop;
+            as->callerNet += queueing_tx + fpga_lat;
+            done();
+        };
+        if (fpga_lat > 0)
+            ctx_.schedule(fpga_lat, std::move(land));
+        else
+            land();
+    });
+}
+
+void
+App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
+{
+    const ServiceDef &def = call.target->def();
+    const QueryType &qt = queryTypes_[call.req->queryType];
 
     auto as = std::make_shared<AttemptState>();
     as->app = this;
-    as->pool = pool;
+    as->call = call;
+    as->attemptNo = attempt_no;
+    as->bytes.reqPayload =
+        (call.reqBytes ? call.reqBytes : def.defaultRequestBytes) +
+        (call.carriesMedia ? qt.extraPayloadBytes : 0);
+    as->bytes.respPayload =
+        call.respBytes ? call.respBytes : def.defaultResponseBytes;
+    as->bytes.reqWire = def.protocol.wireSize(as->bytes.reqPayload);
+    as->bytes.respWire = def.protocol.wireSize(as->bytes.respPayload);
+    as->pool = &poolFor(callerKey(call), *call.target);
     as->tStart = ctx_.now();
     as->done = std::move(done);
 
@@ -802,11 +886,13 @@ App::rpcAttempt(unsigned caller_server, Instance *caller_inst,
     // a deep call chain never waits past its caller's patience. When
     // the deadline is the binding constraint, expiry is reported as
     // DeadlineExceeded, not a generic timeout.
-    Tick eff_timeout = pol->timeout;
+    const rpc::ResiliencePolicy &pol = def.resilience;
+    Tick eff_timeout = pol.timeout;
     bool deadline_bound = false;
-    if (req->deadline) {
-        const Tick remaining =
-            req->deadline > as->tStart ? req->deadline - as->tStart : 1;
+    if (call.req->deadline) {
+        const Tick remaining = call.req->deadline > as->tStart
+                                   ? call.req->deadline - as->tStart
+                                   : 1;
         if (eff_timeout == 0 || remaining < eff_timeout) {
             eff_timeout = remaining;
             deadline_bound = true;
@@ -814,350 +900,147 @@ App::rpcAttempt(unsigned caller_server, Instance *caller_inst,
     }
     if (eff_timeout > 0) {
         as->timeoutEv =
-            ctx_.schedule(eff_timeout, [app, as, deadline_bound]() {
+            ctx_.schedule(eff_timeout, [this, as, deadline_bound]() {
                 if (*as->settled)
                     return;
                 if (deadline_bound) {
-                    app->rpcDeadlineExceeded_->inc();
-                    app->settleAttempt(*as,
-                                       RpcStatus::DeadlineExceeded);
+                    rpcDeadlineExceeded_->inc();
+                    settleAttempt(*as, RpcStatus::DeadlineExceeded);
                 } else {
-                    app->rpcTimeouts_->inc();
-                    app->settleAttempt(*as, RpcStatus::Timeout);
+                    rpcTimeouts_->inc();
+                    settleAttempt(*as, RpcStatus::Timeout);
                 }
             });
     }
 
-    as->ticket = pool->acquire([app, caller_server, caller_svc, tgt, req,
-                                parent_span, req_payload, resp_payload,
-                                req_wire, resp_wire, proto, attempt_no,
-                                resilient, route, as]() {
+    as->ticket = as->pool->acquire([this, as]() {
         as->poolAcquired = true;
         as->acquireEv.cancel();
-        cpu::Server &csrv = app->cluster_.server(caller_server);
-        const bool fpga = app->config_.fpga.enabled;
-        const Cycles send_tcp =
-            fpga ? app->config_.fpga.hostSendCycles
-                 : app->config_.tcp.sendCost(req_wire);
-        const Cycles send_cycles =
-            proto->serializeCost(req_payload) + send_tcp;
-        const double send_tcp_frac =
-            static_cast<double>(send_tcp) /
-            static_cast<double>(std::max<Cycles>(1, send_cycles));
-        const double kipc = app->kernelIpc(csrv);
-        app->chargeNetwork(caller_svc, static_cast<double>(send_cycles),
-                           kipc);
-
-        csrv.execute(send_cycles, kipc, [app, caller_server, tgt, req,
-                                         parent_span, resp_payload,
-                                         req_payload, req_wire, resp_wire,
-                                         proto, attempt_no, resilient,
-                                         route, as,
-                                         send_tcp_frac](Tick send_busy) {
-            if (*as->settled)
-                return;
-            req->networkTime += send_busy;
-            req->tcpProcTime += static_cast<Tick>(
-                send_tcp_frac * static_cast<double>(send_busy));
-            as->callerNet += send_busy;
-
-            // Partitioned deployment: a target homed on another shard
-            // is a different machine reachable only through the engine
-            // mailbox — hand the attempt to the cross-shard leg. Every
-            // path below this point (instance selection, delivery,
-            // reply) then runs on the target's home shard.
-            if (app->partitioned_ &&
-                tgt->homeShard() != app->ctx_.shard()) {
-                app->remoteAttempt(caller_server, as, *tgt, req,
-                                   parent_span, req_payload, resp_payload,
-                                   req_wire, resp_wire, attempt_no, route);
-                return;
-            }
-
-            Instance *ti;
-            if (route.byKey) {
-                // Keyed mode: the call is addressed to the key's
-                // serving instance — the ring owner, or with
-                // replication the group leader / read-preference pick.
-                // Unservable keys fail fast with a typed status
-                // (Unreachable, QuorumLost, StaleRead) regardless of
-                // policy; the client retry loop treats all three as
-                // retryable.
-                RpcStatus key_status = RpcStatus::Ok;
-                ti = tgt->resolveKeyInstance(route, app->ctx_.now(),
-                                             key_status);
-                if (!ti) {
-                    if (key_status == RpcStatus::QuorumLost &&
-                        app->rpcQuorumLost_)
-                        app->rpcQuorumLost_->inc();
-                    else if (key_status == RpcStatus::StaleRead &&
-                             app->rpcStaleRejects_)
-                        app->rpcStaleRejects_->inc();
-                    app->settleAttempt(*as, key_status);
-                    return;
-                }
-            } else if (resilient) {
-                ti = tgt->trySelectInstance(*req);
-                if (!ti) {
-                    // Outage: nothing active to route to. Fail fast on
-                    // the caller instead of aborting the simulation.
-                    app->settleAttempt(*as, RpcStatus::Unreachable);
-                    return;
-                }
-            } else {
-                ti = &tgt->selectInstance(*req);
-            }
-            if (app->crashTracking_) {
-                as->target = ti;
-                as->registered = true;
-                app->registerAttempt(*ti, as.get());
-            }
-            const unsigned callee_server = ti->server().id();
-            const bool fpga = app->config_.fpga.enabled;
-            const Tick fpga_lat =
-                fpga ? app->config_.fpga.pipelineLatency : 0;
-
-            // Reply continuation: runs on the callee once the handler
-            // (or the drop/refusal path) finishes. Error replies still
-            // traverse the wire — a refusal is a message too.
-            auto respond = [app, caller_server, callee_server, tgt, ti,
-                            req, resp_payload, resp_wire, proto,
-                            fpga_lat, as](std::shared_ptr<HandlerCtx> ctx,
-                                          RpcStatus status) {
-                const bool f = app->config_.fpga.enabled;
-                const Cycles reply_tcp =
-                    f ? app->config_.fpga.hostSendCycles
-                      : app->config_.tcp.sendCost(resp_wire);
-                const Cycles reply_cycles =
-                    proto->serializeCost(resp_payload) + reply_tcp;
-                const double reply_tcp_frac =
-                    static_cast<double>(reply_tcp) /
-                    static_cast<double>(
-                        std::max<Cycles>(1, reply_cycles));
-                const double kipc_t = app->kernelIpc(ti->server());
-                app->chargeNetwork(tgt, static_cast<double>(reply_cycles),
-                                   kipc_t);
-                ti->server().execute(reply_cycles, kipc_t,
-                                     [app, caller_server, callee_server,
-                                      req, resp_payload, resp_wire, proto,
-                                      fpga_lat, ctx, reply_tcp_frac, as,
-                                      status](Tick reply_busy) {
-                    req->networkTime += reply_busy;
-                    req->tcpProcTime += static_cast<Tick>(
-                        reply_tcp_frac * static_cast<double>(reply_busy));
-                    if (ctx) {
-                        ctx->span.networkTime += reply_busy;
-                        ctx->span.end = app->ctx_.now();
-                        const Tick dur = ctx->span.duration();
-                        Microservice &svc = ctx->inst->svc();
-                        if (status == RpcStatus::Ok) {
-                            svc.mutableLatency().record(dur);
-                            ++ctx->inst->served_;
-                            if (app->obsTap_)
-                                app->obsTap_->onTierLatency(svc, dur);
-                        } else {
-                            ++ctx->inst->failed_;
-                        }
-                        if (app->config_.tracing)
-                            app->collector_.collect(ctx->span);
-                    }
-                    app->network_.send(callee_server, caller_server,
-                                       resp_wire,
-                                       [app, caller_server, req,
-                                        resp_payload, resp_wire, proto,
-                                        fpga_lat, as,
-                                        status](Tick queueing_tx,
-                                                Tick prop) {
-                        auto finish = [app, caller_server, req,
-                                       resp_payload, resp_wire, proto,
-                                       queueing_tx, prop, fpga_lat, as,
-                                       status]() {
-                            if (*as->settled)
-                                return; // late reply; caller moved on
-                            req->networkTime += queueing_tx + fpga_lat;
-                            req->tcpProcTime += fpga_lat;
-                            req->wireTime += prop;
-                            as->callerNet += queueing_tx + fpga_lat;
-                            cpu::Server &csrv2 =
-                                app->cluster_.server(caller_server);
-                            const bool f2 = app->config_.fpga.enabled;
-                            const Cycles recv_tcp =
-                                f2 ? app->config_.fpga.hostRecvCycles
-                                   : app->config_.tcp.recvCost(resp_wire);
-                            const Cycles recv_cycles =
-                                proto->deserializeCost(resp_payload) +
-                                recv_tcp;
-                            const double recv_tcp_frac =
-                                static_cast<double>(recv_tcp) /
-                                static_cast<double>(
-                                    std::max<Cycles>(1, recv_cycles));
-                            csrv2.execute(recv_cycles,
-                                          app->kernelIpc(csrv2),
-                                          [app, req, recv_tcp_frac, as,
-                                           status](Tick recv_busy) {
-                                if (*as->settled)
-                                    return;
-                                req->networkTime += recv_busy;
-                                req->tcpProcTime += static_cast<Tick>(
-                                    recv_tcp_frac *
-                                    static_cast<double>(recv_busy));
-                                as->callerNet += recv_busy;
-                                app->settleAttempt(*as, status);
-                            });
-                        };
-                        if (fpga_lat > 0)
-                            app->ctx_.schedule(fpga_lat, finish);
-                        else
-                            finish();
-                    });
-                });
-            };
-
-            app->network_.send(
-                caller_server, callee_server, req_wire,
-                [app, tgt, ti, req, parent_span, req_payload, req_wire,
-                 fpga_lat, proto, attempt_no, as,
-                 respond = std::move(respond)](Tick queueing_tx,
-                                               Tick prop) mutable {
-                auto deliver = [app, tgt, ti, req, parent_span,
-                                req_payload, req_wire, queueing_tx,
-                                prop, fpga_lat, proto, attempt_no, as,
-                                respond = std::move(respond)]() mutable {
-                    if (*as->settled)
-                        return; // caller gave up while we were in flight
-                    req->networkTime += queueing_tx + fpga_lat;
-                    req->tcpProcTime += fpga_lat;
-                    req->wireTime += prop;
-                    as->callerNet += queueing_tx + fpga_lat;
-                    const bool f = app->config_.fpga.enabled;
-                    const Cycles rr_tcp =
-                        f ? app->config_.fpga.hostRecvCycles
-                          : app->config_.tcp.recvCost(req_wire);
-                    const Cycles recv_cycles =
-                        proto->deserializeCost(req_payload) + rr_tcp;
-                    const double rr_tcp_frac =
-                        static_cast<double>(rr_tcp) /
-                        static_cast<double>(
-                            std::max<Cycles>(1, recv_cycles));
-                    const double kipc_t = app->kernelIpc(ti->server());
-                    app->chargeNetwork(
-                        tgt, static_cast<double>(recv_cycles), kipc_t);
-                    ti->server().execute(
-                        recv_cycles, kipc_t,
-                        [app, ti, req, parent_span, rr_tcp_frac,
-                         attempt_no, as,
-                         respond = std::move(respond)](
-                            Tick recv_busy) mutable {
-                        req->networkTime += recv_busy;
-                        req->tcpProcTime += static_cast<Tick>(
-                            rr_tcp_frac * static_cast<double>(recv_busy));
-                        app->deliverToInstance(*ti, req, parent_span,
-                                               recv_busy, attempt_no,
-                                               as->settled,
-                                               std::move(respond));
-                    });
-                };
-                if (fpga_lat > 0)
-                    app->ctx_.schedule(fpga_lat, std::move(deliver));
-                else
-                    deliver();
-            });
-        });
+        const RpcCall &c = as->call;
+        netLeg(cluster_.server(c.callerServer), as->callerSvc(),
+               c.target->def().protocol, LegDir::Send, as->bytes.reqPayload,
+               as->bytes.reqWire, c.req, as,
+               [this, as](Tick) { routeAttempt(as); });
     });
 
     if (as->ticket != rpc::ConnectionPool::kGrantedImmediately &&
-        pol->acquireTimeout > 0 && !*as->settled) {
+        pol.acquireTimeout > 0 && !*as->settled) {
         // Parked behind a saturated HTTP/1.1 pool: give up after the
         // configured wait instead of parking forever (Fig 17B's hang).
-        as->acquireEv = ctx_.schedule(pol->acquireTimeout, [app, as]() {
+        as->acquireEv = ctx_.schedule(pol.acquireTimeout, [this, as]() {
             if (as->poolAcquired || *as->settled)
                 return;
-            app->rpcPoolTimeouts_->inc();
-            app->settleAttempt(*as, RpcStatus::PoolTimeout);
+            rpcPoolTimeouts_->inc();
+            settleAttempt(*as, RpcStatus::PoolTimeout);
         });
     }
 }
 
 void
-App::remoteAttempt(unsigned caller_server, std::shared_ptr<AttemptState> as,
-                   Microservice &target, RequestPtr req,
-                   trace::SpanId parent_span, Bytes req_payload,
-                   Bytes resp_payload, Bytes req_wire, Bytes resp_wire,
-                   unsigned attempt_no, const data::RouteHint &route)
+App::routeAttempt(const std::shared_ptr<AttemptState> &as)
 {
-    App *app = this;
-    const unsigned home = target.homeShard();
+    Microservice &tgt = *as->call.target;
+    // Partitioned deployment: a target homed on another shard is a
+    // different machine reachable only through the engine mailbox.
+    if (partitioned_ && tgt.homeShard() != ctx_.shard()) {
+        remoteAttempt(as);
+        return;
+    }
+
+    Instance *ti;
+    if (as->call.route.byKey) {
+        // Keyed mode: the call is addressed to the key's serving
+        // instance — the ring owner, or with replication the group
+        // leader / read-preference pick. Unservable keys fail fast
+        // with a typed status (Unreachable, QuorumLost, StaleRead)
+        // regardless of policy; the client retry loop treats all
+        // three as retryable.
+        RpcStatus key_status = RpcStatus::Ok;
+        ti = tgt.resolveKeyInstance(as->call.route, ctx_.now(), key_status);
+        if (!ti) {
+            if (key_status == RpcStatus::QuorumLost && rpcQuorumLost_)
+                rpcQuorumLost_->inc();
+            else if (key_status == RpcStatus::StaleRead && rpcStaleRejects_)
+                rpcStaleRejects_->inc();
+            settleAttempt(*as, key_status);
+            return;
+        }
+    } else if (tgt.def().resilience.active() || crashTracking_) {
+        // Crash-aware selection: an outage (nothing active to route
+        // to) fails fast on the caller instead of aborting the run.
+        ti = tgt.trySelectInstance(*as->call.req);
+        if (!ti) {
+            settleAttempt(*as, RpcStatus::Unreachable);
+            return;
+        }
+    } else {
+        ti = &tgt.selectInstance(*as->call.req);
+    }
+    if (crashTracking_) {
+        as->target = ti;
+        as->registered = true;
+        registerAttempt(*ti, as.get());
+    }
+
+    wireLeg(as->call.callerServer, ti->server().id(), as->bytes.reqWire, as,
+            [this, as, ti]() {
+        serveHop(*ti, as->call.req, as->call.parentSpan, as->attemptNo,
+                 as->bytes, as->settled, [this, as, ti](RpcStatus status) {
+            // Error replies travel too: a refusal is a message.
+            wireLeg(ti->server().id(), as->call.callerServer,
+                    as->bytes.respWire, as,
+                    [this, as, status]() { receiveReply(as, status, 0); });
+        });
+    });
+}
+
+void
+App::remoteAttempt(const std::shared_ptr<AttemptState> &as)
+{
+    const RpcCall &c = as->call;
+    Request &req = *c.req;
+    const unsigned home = c.target->homeShard();
 
     // Forward leg: the caller's NIC pays serialization/queueing here;
     // the wire pays the inter-shard latency the engine lookahead is
     // derived from, so the delivery delay below is always >= lookahead.
     const std::pair<Tick, Tick> fwd =
-        network_.crossShardDelay(caller_server, req_wire);
-    req->networkTime += fwd.first;
-    req->wireTime += fwd.second;
+        network_.crossShardDelay(c.callerServer, as->bytes.reqWire);
+    req.networkTime += fwd.first;
+    req.wireTime += fwd.second;
     as->callerNet += fwd.first;
 
     RemoteCall call;
     call.srcShard = ctx_.shard();
-    call.tier = target.orderIndex();
-    call.requestId = req->id;
-    call.queryType = req->queryType;
-    call.userId = req->userId;
-    call.deadline = req->deadline;
-    call.dataKey = route.key;
-    call.traceId = req->traceId;
-    call.parentSpan = parent_span;
-    call.attemptNo = attempt_no;
-    call.reqPayload = req_payload;
-    call.respPayload = resp_payload;
-    call.reqWire = req_wire;
-    call.respWire = resp_wire;
-    call.routeByKey = route.byKey;
-    call.routeIsWrite = route.write;
-    call.routeStoreAccess = route.storeAccess;
-
-    const rpc::ProtocolModel *proto = &target.def().protocol;
+    call.tier = c.target->orderIndex();
+    call.requestId = req.id;
+    call.queryType = req.queryType;
+    call.userId = req.userId;
+    call.deadline = req.deadline;
+    call.dataKey = c.route.key;
+    call.traceId = req.traceId;
+    call.parentSpan = c.parentSpan;
+    call.attemptNo = as->attemptNo;
+    call.bytes = as->bytes;
+    call.routeByKey = c.route.byKey;
+    call.routeIsWrite = c.route.write;
+    call.routeStoreAccess = c.route.storeAccess;
 
     // Runs back on this shard when the home shard posts the delta.
-    auto reply = [app, caller_server, req, resp_payload, resp_wire, proto,
-                  as](const RemoteDelta &d) {
+    auto reply = [this, as](const RemoteDelta &d) {
         if (*as->settled)
             return; // late reply; the caller's timeout already won
-        req->networkTime += d.networkTime + d.replyQueueing;
-        req->tcpProcTime += d.tcpProcTime;
-        req->wireTime += d.wireTime;
-        req->appTime += d.appTime;
-        req->queueTime += d.queueTime;
-        req->retries += d.retries;
+        Request &r = *as->call.req;
+        r.networkTime += d.networkTime + d.replyQueueing;
+        r.tcpProcTime += d.tcpProcTime;
+        r.wireTime += d.wireTime;
+        r.appTime += d.appTime;
+        r.queueTime += d.queueTime;
+        r.retries += d.retries;
         if (d.dropped)
-            req->dropped = true;
+            r.dropped = true;
         as->callerNet += d.replyQueueing;
-        cpu::Server &csrv = app->cluster_.server(caller_server);
-        const Cycles recv_tcp = app->config_.tcp.recvCost(resp_wire);
-        const Cycles recv_cycles =
-            proto->deserializeCost(resp_payload) + recv_tcp;
-        const double recv_tcp_frac =
-            static_cast<double>(recv_tcp) /
-            static_cast<double>(std::max<Cycles>(1, recv_cycles));
-        const std::uint8_t remote_hit = d.remoteHit;
-        const RpcStatus status = d.status;
-        csrv.execute(recv_cycles, app->kernelIpc(csrv),
-                     [app, req, recv_tcp_frac, remote_hit, as,
-                      status](Tick recv_busy) {
-            if (*as->settled)
-                return;
-            req->networkTime += recv_busy;
-            req->tcpProcTime += static_cast<Tick>(
-                recv_tcp_frac * static_cast<double>(recv_busy));
-            as->callerNet += recv_busy;
-            // Published in the same event that settles the attempt:
-            // settleAttempt unwinds synchronously into the issuing
-            // stage's continuation, so a concurrent sibling's delta
-            // cannot overwrite the outcome before it is read.
-            if (remote_hit)
-                req->remoteHit = remote_hit;
-            app->settleAttempt(*as, status);
-        });
+        receiveReply(as, d.status, d.remoteHit);
     };
 
     App *peer = peerApps_[home];
@@ -1168,10 +1051,28 @@ App::remoteAttempt(unsigned caller_server, std::shared_ptr<AttemptState> as,
 }
 
 void
+App::receiveReply(const std::shared_ptr<AttemptState> &as, RpcStatus status,
+                  std::uint8_t remote_hit)
+{
+    const RpcCall &c = as->call;
+    netLeg(cluster_.server(c.callerServer), as->callerSvc(),
+           c.target->def().protocol, LegDir::Receive, as->bytes.respPayload,
+           as->bytes.respWire, c.req, as,
+           [this, as, status, remote_hit](Tick) {
+        // Published in the same event that settles the attempt:
+        // settleAttempt unwinds synchronously into the issuing stage's
+        // continuation, so a concurrent sibling's delta cannot
+        // overwrite the outcome before it is read.
+        if (remote_hit)
+            as->call.req->remoteHit = remote_hit;
+        settleAttempt(*as, status);
+    });
+}
+
+void
 App::serveRemote(const RemoteCall &call,
                  std::function<void(const RemoteDelta &)> done)
 {
-    App *app = this;
     if (call.tier >= serviceOrder_.size())
         fatal("serveRemote: tier index out of range");
     Microservice *tgt = serviceOrder_[call.tier];
@@ -1221,88 +1122,78 @@ App::serveRemote(const RemoteCall &call,
     }
 
     const unsigned callee_server = ti->server().id();
-    const rpc::ProtocolModel *proto = &tgt->def().protocol;
-
-    // Reply continuation: the mirror of the local path's `respond`,
-    // except the last leg is a marshalled delta through the mailbox
-    // instead of a network_.send back to the caller.
-    auto respond = [app, tgt, ti, rreq, callee_server, call, proto,
-                    remote_hit, done = std::move(done)](
-                       std::shared_ptr<HandlerCtx> ctx, RpcStatus status) {
-        const Cycles reply_tcp = app->config_.tcp.sendCost(call.respWire);
-        const Cycles reply_cycles =
-            proto->serializeCost(call.respPayload) + reply_tcp;
-        const double reply_tcp_frac =
-            static_cast<double>(reply_tcp) /
-            static_cast<double>(std::max<Cycles>(1, reply_cycles));
-        const double kipc_t = app->kernelIpc(ti->server());
-        app->chargeNetwork(tgt, static_cast<double>(reply_cycles), kipc_t);
-        ti->server().execute(reply_cycles, kipc_t,
-                             [app, ti, rreq, callee_server, call,
-                              reply_tcp_frac, remote_hit, ctx, status,
-                              done](Tick reply_busy) {
-            rreq->networkTime += reply_busy;
-            rreq->tcpProcTime += static_cast<Tick>(
-                reply_tcp_frac * static_cast<double>(reply_busy));
-            if (ctx) {
-                ctx->span.networkTime += reply_busy;
-                ctx->span.end = app->ctx_.now();
-                const Tick dur = ctx->span.duration();
-                Microservice &svc = ctx->inst->svc();
-                if (status == RpcStatus::Ok) {
-                    svc.mutableLatency().record(dur);
-                    ++ctx->inst->served_;
-                    if (app->obsTap_)
-                        app->obsTap_->onTierLatency(svc, dur);
-                } else {
-                    ++ctx->inst->failed_;
-                }
-                if (app->config_.tracing)
-                    app->collector_.collect(ctx->span);
-            }
-            // Reply leg: this shard's NIC pays the tx queueing, the
-            // wire pays the inter-shard latency — so the post delay is
-            // always >= the engine lookahead.
-            const std::pair<Tick, Tick> rep =
-                app->network_.crossShardDelay(callee_server,
-                                              call.respWire);
-            RemoteDelta d;
-            d.networkTime = rreq->networkTime;
-            d.tcpProcTime = rreq->tcpProcTime;
-            d.wireTime = rreq->wireTime + rep.second;
-            d.appTime = rreq->appTime;
-            d.queueTime = rreq->queueTime;
-            d.replyQueueing = rep.first;
-            d.retries = rreq->retries;
-            d.remoteHit = remote_hit;
-            d.dropped = rreq->dropped;
-            d.status = status;
-            app->ctx_.postToShard(call.srcShard, rep.first + rep.second,
-                                  [done, d]() { done(d); });
-        });
-    };
-
-    // Receive-side kernel work for the marshalled message, charged to
-    // the callee exactly as on the local path.
-    const Cycles rr_tcp = config_.tcp.recvCost(call.reqWire);
-    const Cycles recv_cycles =
-        proto->deserializeCost(call.reqPayload) + rr_tcp;
-    const double rr_tcp_frac =
-        static_cast<double>(rr_tcp) /
-        static_cast<double>(std::max<Cycles>(1, recv_cycles));
-    const double kipc_t = kernelIpc(ti->server());
-    chargeNetwork(tgt, static_cast<double>(recv_cycles), kipc_t);
-    ti->server().execute(recv_cycles, kipc_t,
-                         [app, ti, rreq, call, rr_tcp_frac,
-                          respond = std::move(respond)](
-                             Tick recv_busy) mutable {
-        rreq->networkTime += recv_busy;
-        rreq->tcpProcTime += static_cast<Tick>(
-            rr_tcp_frac * static_cast<double>(recv_busy));
-        app->deliverToInstance(*ti, rreq, call.parentSpan, recv_busy,
-                               call.attemptNo, nullptr,
-                               std::move(respond));
+    serveHop(*ti, rreq, call.parentSpan, call.attemptNo, call.bytes, nullptr,
+             [this, rreq, call, callee_server, remote_hit,
+              done = std::move(done)](RpcStatus status) {
+        // Reply leg: this shard's NIC pays the tx queueing, the wire
+        // pays the inter-shard latency — so the post delay is always
+        // >= the engine lookahead.
+        const std::pair<Tick, Tick> rep =
+            network_.crossShardDelay(callee_server, call.bytes.respWire);
+        RemoteDelta d;
+        d.networkTime = rreq->networkTime;
+        d.tcpProcTime = rreq->tcpProcTime;
+        d.wireTime = rreq->wireTime + rep.second;
+        d.appTime = rreq->appTime;
+        d.queueTime = rreq->queueTime;
+        d.replyQueueing = rep.first;
+        d.retries = rreq->retries;
+        d.remoteHit = remote_hit;
+        d.dropped = rreq->dropped;
+        d.status = status;
+        ctx_.postToShard(call.srcShard, rep.first + rep.second,
+                         [done, d]() { done(d); });
     });
+}
+
+void
+App::serveHop(Instance &inst, RequestPtr req, trace::SpanId parent_span,
+              unsigned attempt_no, const RpcBytes &bytes,
+              std::shared_ptr<bool> abandoned,
+              std::function<void(RpcStatus)> reply)
+{
+    Instance *ti = &inst;
+    netLeg(inst.server(), &inst.svc(), inst.svc().def().protocol,
+           LegDir::Receive, bytes.reqPayload, bytes.reqWire, req, nullptr,
+           [this, ti, req, parent_span, attempt_no, bytes,
+            abandoned = std::move(abandoned),
+            reply = std::move(reply)](Tick recv_busy) mutable {
+        // Runs once the handler, or a refusal at arrival, is done.
+        auto respond = [this, ti, req, bytes, reply = std::move(reply)](
+                           std::shared_ptr<HandlerCtx> ctx,
+                           RpcStatus status) mutable {
+            netLeg(ti->server(), &ti->svc(), ti->svc().def().protocol,
+                   LegDir::Send, bytes.respPayload, bytes.respWire, req,
+                   nullptr,
+                   [this, ctx = std::move(ctx), status,
+                    reply = std::move(reply)](Tick reply_busy) {
+                if (ctx)
+                    closeSpan(*ctx, status, reply_busy);
+                reply(status);
+            });
+        };
+        deliverToInstance(*ti, req, parent_span, recv_busy, attempt_no,
+                          std::move(abandoned), std::move(respond));
+    });
+}
+
+void
+App::closeSpan(HandlerCtx &ctx, RpcStatus status, Tick reply_busy)
+{
+    ctx.span.networkTime += reply_busy;
+    ctx.span.end = ctx_.now();
+    const Tick dur = ctx.span.duration();
+    Microservice &svc = ctx.inst->svc();
+    if (status == RpcStatus::Ok) {
+        svc.mutableLatency().record(dur);
+        ++ctx.inst->served_;
+        if (obsTap_)
+            obsTap_->onTierLatency(svc, dur);
+    } else {
+        ++ctx.inst->failed_;
+    }
+    if (config_.tracing)
+        collector_.collect(ctx.span);
 }
 
 void
@@ -1332,13 +1223,14 @@ App::deliverToInstance(
         return;
     }
 
-    // Admission control (enableQos): the multi-class queue owns all
-    // queue bounds, so the legacy shed/overflow checks below never run
-    // while it is installed. Every refusal is a typed fast-reject on
-    // the reply wire — the caller's breaker and retry budget see an
-    // immediate error, not a timeout.
+    QosClass cls = QosClass::UserFacing;
     if (inst.admission_) {
-        const QosClass cls = qosClassOf(req->queryType);
+        // Admission control (enableQos): the multi-class queue owns
+        // all queue bounds, so the legacy shed/overflow checks never
+        // run while it is installed. Every refusal is a typed
+        // fast-reject on the reply wire — the caller's breaker and
+        // retry budget see an immediate error, not a timeout.
+        cls = qosClassOf(req->queryType);
         const auto ci = static_cast<std::size_t>(cls);
         switch (inst.admission_->offer(cls, ctx_.now())) {
         case AdmissionVerdict::Admit:
@@ -1367,55 +1259,46 @@ App::deliverToInstance(
             return;
         }
         admAdmitted_[ci]->inc();
-        Instance::Arrival arrival;
-        arrival.req = std::move(req);
-        arrival.parentSpan = parent_span;
-        arrival.enqueued = ctx_.now();
-        arrival.preNetworkTime = pre_network;
-        arrival.attempt =
-            static_cast<std::uint8_t>(std::min(attempt_no, 255u));
-        arrival.abandoned = std::move(abandoned);
-        arrival.respondCtx = std::move(respond);
-        inst.admission_->push(cls, std::move(arrival));
-        maybeStartHandling(inst);
-        return;
-    }
-
-    const rpc::ResiliencePolicy &pol = inst.svc().def().resilience;
-    if (pol.shedQueueLength > 0 &&
-        inst.queue_.size() >= pol.shedQueueLength) {
-        // Load shedding: refuse early with a cheap, retryable error
-        // instead of letting the queue grow to the overflow cliff.
-        rpcShed_->inc();
-        ++inst.failed_;
-        respond(nullptr, RpcStatus::Shed);
-        return;
-    }
-
-    if (inst.queue_.size() >= inst.svc().def().queueCapacity) {
-        ++inst.dropped_;
-        if (!pol.active()) {
-            // Legacy queue overflow: mark the end-to-end request
-            // dropped and unwind through the normal reply path.
-            req->dropped = true;
-            respond(nullptr, RpcStatus::Ok);
-        } else {
-            // Under a resilience policy, overflow is a retryable
-            // per-attempt error rather than a silent request kill.
-            respond(nullptr, RpcStatus::Overflow);
+    } else {
+        const rpc::ResiliencePolicy &pol = inst.svc().def().resilience;
+        if (pol.shedQueueLength > 0 &&
+            inst.queue_.size() >= pol.shedQueueLength) {
+            // Load shedding: refuse early with a cheap, retryable
+            // error instead of letting the queue grow to the overflow
+            // cliff.
+            rpcShed_->inc();
+            ++inst.failed_;
+            respond(nullptr, RpcStatus::Shed);
+            return;
         }
-        return;
+        if (inst.queue_.size() >= inst.svc().def().queueCapacity) {
+            ++inst.dropped_;
+            if (!pol.active()) {
+                // Legacy queue overflow: mark the end-to-end request
+                // dropped and unwind through the normal reply path.
+                req->dropped = true;
+                respond(nullptr, RpcStatus::Ok);
+            } else {
+                // Under a resilience policy, overflow is a retryable
+                // per-attempt error rather than a silent request kill.
+                respond(nullptr, RpcStatus::Overflow);
+            }
+            return;
+        }
     }
+
     Instance::Arrival arrival;
     arrival.req = std::move(req);
     arrival.parentSpan = parent_span;
     arrival.enqueued = ctx_.now();
     arrival.preNetworkTime = pre_network;
-    arrival.attempt =
-        static_cast<std::uint8_t>(std::min(attempt_no, 255u));
+    arrival.attempt = static_cast<std::uint8_t>(std::min(attempt_no, 255u));
     arrival.abandoned = std::move(abandoned);
     arrival.respondCtx = std::move(respond);
-    inst.queue_.push_back(std::move(arrival));
+    if (inst.admission_)
+        inst.admission_->push(cls, std::move(arrival));
+    else
+        inst.queue_.push_back(std::move(arrival));
     maybeStartHandling(inst);
 }
 
@@ -1548,70 +1431,35 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
             next();
             return;
         }
-        Microservice *target = &service(st.target);
-        const unsigned server_id = ctx->inst->server().id();
+        Microservice &target = service(st.target);
+        if (!st.parallel) {
+            callSequential(ctx, st, target, 0, std::move(next));
+            return;
+        }
+        // The branches join as one call: their caller-side network
+        // time summed, the rest of the stage's wall time as wait.
+        struct Join
+        {
+            unsigned remaining;
+            Tick net;
+            std::function<void()> next;
+        };
+        auto join =
+            std::make_shared<Join>(Join{st.fanout, 0, std::move(next)});
         const Tick call_start = ctx_.now();
-        if (st.parallel) {
-            auto remaining = std::make_shared<unsigned>(st.fanout);
-            auto net_sum = std::make_shared<Tick>(0);
-            auto joined_next =
-                std::make_shared<std::function<void()>>(std::move(next));
-            for (unsigned i = 0; i < st.fanout; ++i) {
-                rpcCall(server_id, ctx->inst, *target, ctx->req,
-                        ctx->span.spanId, st.requestBytes, st.responseBytes,
-                        st.carriesMedia,
-                        [this, ctx, remaining, net_sum, call_start,
-                         joined_next](RpcStatus status, Tick wall,
-                                      Tick caller_net) {
-                    (void)wall;
-                    // A parallel fanout fails if any branch fails;
-                    // first failure wins the join status.
-                    if (status != RpcStatus::Ok && ctx->span.status == 0)
-                        ctx->span.status =
-                            static_cast<std::uint8_t>(status);
-                    *net_sum += caller_net;
-                    if (--*remaining == 0) {
-                        const Tick wall_total = ctx_.now() - call_start;
-                        ctx->span.networkTime += *net_sum;
-                        ctx->span.downstreamWait +=
-                            wall_total > *net_sum ? wall_total - *net_sum
-                                                  : 0;
-                        (*joined_next)();
-                    }
-                });
-            }
-        } else {
-            auto do_call =
-                std::make_shared<std::function<void(unsigned)>>();
-            auto next_shared =
-                std::make_shared<std::function<void()>>(std::move(next));
-            const Stage *stage = &st;
-            *do_call = [this, ctx, stage, target, server_id, do_call,
-                        next_shared](unsigned i) {
-                if (i >= stage->fanout) {
-                    (*next_shared)();
-                    return;
+        for (unsigned i = 0; i < st.fanout; ++i) {
+            stageCall(ctx, st, target,
+                      [this, ctx, join, call_start](RpcStatus status, Tick,
+                                                    Tick caller_net) {
+                // A parallel fanout fails if any branch fails.
+                failSpan(ctx->span, status);
+                join->net += caller_net;
+                if (--join->remaining == 0) {
+                    joinCall(ctx->span, RpcStatus::Ok,
+                             ctx_.now() - call_start, join->net);
+                    join->next();
                 }
-                rpcCall(server_id, ctx->inst, *target, ctx->req,
-                        ctx->span.spanId, stage->requestBytes,
-                        stage->responseBytes, stage->carriesMedia,
-                        [ctx, stage, do_call, i](RpcStatus status, Tick wall,
-                                                 Tick caller_net) {
-                    ctx->span.networkTime += caller_net;
-                    ctx->span.downstreamWait +=
-                        wall > caller_net ? wall - caller_net : 0;
-                    if (status != RpcStatus::Ok) {
-                        if (ctx->span.status == 0)
-                            ctx->span.status =
-                                static_cast<std::uint8_t>(status);
-                        // Skip the remaining sequential calls.
-                        (*do_call)(stage->fanout);
-                        return;
-                    }
-                    (*do_call)(i + 1);
-                });
-            };
-            (*do_call)(0);
+            });
         }
         return;
       }
@@ -1633,7 +1481,6 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
       }
       case Stage::Kind::Cache: {
         Microservice *cache_tier = &service(st.target);
-        const unsigned server_id = ctx->inst->server().id();
         // Keyed mode: draw the accessed key and let hit/miss emerge
         // from the owning shard's bounded store. Legacy mode keeps
         // the fixed-probability coin flip — the same single RNG draw
@@ -1695,24 +1542,19 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         } else {
             hit = rng_.bernoulli(st.hitRatio);
         }
-        const Stage *stage = &st;
-        auto next_shared =
-            std::make_shared<std::function<void()>>(std::move(next));
         // Only the cache-tier hop carries the store access; the db
         // fallthrough routes by the same key but touches no store.
         data::RouteHint cache_route = route;
         cache_route.storeAccess = remote_keyed;
-        rpcCall(server_id, ctx->inst, *cache_tier, ctx->req,
-                ctx->span.spanId, st.requestBytes, st.responseBytes,
-                st.carriesMedia,
-                [this, ctx, stage, server_id, hit, remote_keyed,
-                 quorum_delay, route,
-                 next_shared](RpcStatus status, Tick wall, Tick caller_net) {
-            ctx->span.networkTime += caller_net;
-            ctx->span.downstreamWait +=
-                wall > caller_net ? wall - caller_net : 0;
-            auto cont = [this, ctx, stage, server_id, hit, remote_keyed,
-                         route, next_shared, status]() {
+        stageCall(ctx, st, *cache_tier,
+                  [this, ctx, stage = &st, hit, remote_keyed, quorum_delay,
+                   route, next = std::move(next)](RpcStatus status, Tick wall,
+                                                  Tick caller_net) mutable {
+            // A failed lookup is a miss first; whether it also fails
+            // the handler is decided below.
+            joinCall(ctx->span, RpcStatus::Ok, wall, caller_net);
+            auto cont = [this, ctx, stage, hit, remote_keyed, route, status,
+                         next = std::move(next)]() mutable {
                 bool h = hit;
                 if (remote_keyed) {
                     // The home shard's outcome, published in the same
@@ -1730,38 +1572,25 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                 }
                 // A failed cache lookup degrades to a miss: fall
                 // through to the backing store when one exists
-                // (cache-aside pattern).
-                const bool effective_hit =
-                    h && status == RpcStatus::Ok;
-                if (effective_hit || stage->dbTarget.empty()) {
-                    if (status != RpcStatus::Ok &&
-                        stage->dbTarget.empty() && ctx->span.status == 0)
-                        ctx->span.status =
-                            static_cast<std::uint8_t>(status);
-                    (*next_shared)();
+                // (cache-aside pattern); without one the failure
+                // stands.
+                if ((h && status == RpcStatus::Ok) ||
+                    stage->dbTarget.empty()) {
+                    failSpan(ctx->span, status);
+                    next();
                     return;
                 }
-                Microservice *db = &service(stage->dbTarget);
+                Microservice &db = service(stage->dbTarget);
                 // The backing store shards by the same key when it is
                 // ring-managed, so hot keys hammer one DB shard too.
-                const data::RouteHint db_route =
-                    db->keyedRouting() ? route : data::RouteHint{};
-                rpcCall(server_id, ctx->inst, *db, ctx->req,
-                        ctx->span.spanId, stage->requestBytes,
-                        stage->responseBytes, stage->carriesMedia,
-                        [ctx, next_shared](RpcStatus status2, Tick wall2,
-                                           Tick caller_net2) {
-                    ctx->span.networkTime += caller_net2;
-                    ctx->span.downstreamWait += wall2 > caller_net2
-                                                    ? wall2 - caller_net2
-                                                    : 0;
-                    if (status2 != RpcStatus::Ok &&
-                        ctx->span.status == 0)
-                        ctx->span.status =
-                            static_cast<std::uint8_t>(status2);
-                    (*next_shared)();
+                stageCall(ctx, *stage, db,
+                          [ctx, next = std::move(next)](
+                              RpcStatus status2, Tick wall2,
+                              Tick caller_net2) mutable {
+                    joinCall(ctx->span, status2, wall2, caller_net2);
+                    next();
                 },
-                        db_route);
+                          db.keyedRouting() ? route : data::RouteHint{});
             };
             if (quorum_delay > 0 && status == RpcStatus::Ok) {
                 // Quorum write: the handler blocks until the W-th ack
@@ -1772,11 +1601,32 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                 cont();
             }
         },
-                cache_route);
+                  cache_route);
         return;
       }
     }
     panic("unhandled stage kind");
+}
+
+void
+App::callSequential(std::shared_ptr<HandlerCtx> ctx, const Stage &stage,
+                    Microservice &target, unsigned i,
+                    std::function<void()> next)
+{
+    if (i >= stage.fanout) {
+        next();
+        return;
+    }
+    stageCall(ctx, stage, target,
+              [this, ctx, stage = &stage, target = &target, i,
+               next = std::move(next)](RpcStatus status, Tick wall,
+                                       Tick caller_net) mutable {
+        joinCall(ctx->span, status, wall, caller_net);
+        if (status != RpcStatus::Ok)
+            next(); // skip the remaining calls
+        else
+            callSequential(ctx, *stage, *target, i + 1, std::move(next));
+    });
 }
 
 void
@@ -1786,7 +1636,6 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
 {
     if (rpcTxnStarted_)
         rpcTxnStarted_->inc();
-    const unsigned server_id = ctx->inst->server().id();
 
     // One prepare per distinct replica group, addressed by the first
     // key that mapped there. A transaction whose keys all hash to one
@@ -1827,7 +1676,7 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
     // The coordinator's decision point: fired once, by the last
     // prepare ack or by the abort timer — whichever comes first.
     auto settle = std::make_shared<std::function<void(bool)>>();
-    *settle = [app, ctx, tier, stg, server_id, st, group_keys, primary,
+    *settle = [app, ctx, tier, stg, st, group_keys, primary,
                next_shared](bool ok) {
         if (st->settled)
             return;
@@ -1836,9 +1685,7 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
             if (app->rpcTxnAborts_)
                 app->rpcTxnAborts_->inc();
             tier->noteTxnAbort();
-            if (ctx->span.status == 0)
-                ctx->span.status =
-                    static_cast<std::uint8_t>(RpcStatus::TxnAborted);
+            failSpan(ctx->span, RpcStatus::TxnAborted);
             (*next_shared)();
         };
         if (!ok) {
@@ -1865,7 +1712,7 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
         }
         if (app->rpcTxnCommits_)
             app->rpcTxnCommits_->inc();
-        auto after = [app, ctx, stg, server_id, primary, next_shared]() {
+        auto after = [app, ctx, stg, primary, next_shared]() {
             if (stg->dbTarget.empty()) {
                 (*next_shared)();
                 return;
@@ -1877,21 +1724,13 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
                 db->keyedRouting()
                     ? data::RouteHint{primary, true, true}
                     : data::RouteHint{};
-            app->rpcCall(server_id, ctx->inst, *db, ctx->req,
-                         ctx->span.spanId, stg->requestBytes,
-                         stg->responseBytes, stg->carriesMedia,
-                         [ctx, next_shared](RpcStatus status2, Tick wall2,
-                                            Tick caller_net2) {
-                ctx->span.networkTime += caller_net2;
-                ctx->span.downstreamWait += wall2 > caller_net2
-                                                ? wall2 - caller_net2
-                                                : 0;
-                if (status2 != RpcStatus::Ok && ctx->span.status == 0)
-                    ctx->span.status =
-                        static_cast<std::uint8_t>(status2);
+            app->stageCall(ctx, *stg, *db,
+                           [ctx, next_shared](RpcStatus status2, Tick wall2,
+                                              Tick caller_net2) {
+                joinCall(ctx->span, status2, wall2, caller_net2);
                 (*next_shared)();
             },
-                         db_route);
+                           db_route);
         };
         if (delay > 0) {
             // The coordinator blocks until the slowest group's W-th
@@ -1911,20 +1750,17 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
 
     for (std::size_t i = 0; i < group_keys.size(); ++i) {
         const data::RouteHint prep_route{group_keys[i], true, true};
-        rpcCall(server_id, ctx->inst, *cache_tier, ctx->req,
-                ctx->span.spanId, stg->requestBytes, stg->responseBytes,
-                stg->carriesMedia,
-                [ctx, st, settle](RpcStatus status, Tick wall,
-                                  Tick caller_net) {
-            ctx->span.networkTime += caller_net;
-            ctx->span.downstreamWait +=
-                wall > caller_net ? wall - caller_net : 0;
+        stageCall(ctx, *stg, *cache_tier,
+                  [ctx, st, settle](RpcStatus status, Tick wall,
+                                    Tick caller_net) {
+            // A failed prepare aborts the transaction instead.
+            joinCall(ctx->span, RpcStatus::Ok, wall, caller_net);
             if (status != RpcStatus::Ok)
                 st->failed = true;
             if (--st->remaining == 0)
                 (*settle)(!st->failed);
         },
-                prep_route);
+                  prep_route);
     }
 }
 
@@ -1950,13 +1786,18 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
 
     const trace::SpanId client_span_id = ids_.nextSpan();
 
-    rpcCall(clientServer_->id(), nullptr, service(entry_), req,
-            client_span_id, config_.clientRequestBytes,
-            config_.clientResponseBytes, /*carries_media=*/true,
+    rpcCall({.callerServer = clientServer_->id(),
+             .callerInst = nullptr,
+             .target = &service(entry_),
+             .req = req,
+             .parentSpan = client_span_id,
+             .reqBytes = config_.clientRequestBytes,
+             .respBytes = config_.clientResponseBytes,
+             .carriesMedia = true,
+             .route = {}},
             [this, req, client_span_id,
-             done = std::move(done)](RpcStatus status, Tick wall,
+             done = std::move(done)](RpcStatus status, Tick,
                                      Tick caller_net) {
-        (void)wall;
         req->completeTime = ctx_.now();
         if (status != RpcStatus::Ok) {
             // The entry RPC failed after all client-side resilience was

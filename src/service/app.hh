@@ -98,6 +98,15 @@ class ObsTap
     virtual void onAdmissionReject(const Microservice &svc) = 0;
 };
 
+/** Payload and on-the-wire sizes of one RPC's request and reply. */
+struct RpcBytes
+{
+    Bytes reqPayload = 0;
+    Bytes respPayload = 0;
+    Bytes reqWire = 0;
+    Bytes respWire = 0;
+};
+
 /**
  * One RPC marshalled across shards of a partitioned world: a caller
  * shard invoking a tier homed elsewhere. Plain values only — the two
@@ -118,10 +127,7 @@ struct RemoteCall
     trace::TraceId traceId = 0;
     trace::SpanId parentSpan = 0;
     unsigned attemptNo = 1;
-    Bytes reqPayload = 0;
-    Bytes respPayload = 0;
-    Bytes reqWire = 0;
-    Bytes respWire = 0;
+    RpcBytes bytes;
     bool routeByKey = false;
     bool routeIsWrite = false;
     bool routeStoreAccess = false;
@@ -194,6 +200,9 @@ class App
 
     App(SimContext ctx, cpu::Cluster &cluster, net::Network &network,
         Config config, std::uint64_t seed);
+
+    /** Detaches attempts that outlive the app inside pending events. */
+    ~App();
 
     App(const App &) = delete;
     App &operator=(const App &) = delete;
@@ -471,40 +480,119 @@ class App
     rpc::RetryBudget &budgetFor(const Microservice &target);
 
     /**
-     * Issue one RPC from @p caller_server to @p target, applying the
-     * target's resilience policy (deadline check, breaker gate, retry
-     * loop around rpcAttempt). With an inactive policy this is a
-     * passthrough to a single attempt — the legacy fire-and-wait path.
-     * @p done fires back on the caller with the outcome and wall time.
-     * @p route (keyed mode) addresses the call to a data key's shard
-     * instead of the legacy userId/round-robin selection.
+     * One RPC as its caller issued it: who calls which tier for which
+     * request, with what payloads. Every attempt of the call shares it.
      */
-    void rpcCall(unsigned caller_server, Instance *caller_inst,
-                 Microservice &target, RequestPtr req,
-                 trace::SpanId parent_span, Bytes req_bytes,
-                 Bytes resp_bytes, bool carries_media, RpcDone done,
-                 data::RouteHint route = {});
+    struct RpcCall
+    {
+        unsigned callerServer = 0;
+        /** Calling instance; null for the end-user client. */
+        Instance *callerInst = nullptr;
+        Microservice *target = nullptr;
+        RequestPtr req;
+        trace::SpanId parentSpan = 0;
+        /** Payload overrides (0 = the target's defaults). */
+        Bytes reqBytes = 0;
+        Bytes respBytes = 0;
+        bool carriesMedia = false;
+        /** Keyed mode: address the key's shard, not userId/round robin. */
+        data::RouteHint route;
+    };
 
-    /** One attempt of an RPC: serialize, send, queue, handle, reply. */
-    void rpcAttempt(unsigned caller_server, Instance *caller_inst,
-                    Microservice &target, RequestPtr req,
-                    trace::SpanId parent_span, Bytes req_bytes,
-                    Bytes resp_bytes, bool carries_media,
-                    unsigned attempt_no, RpcDone done,
-                    data::RouteHint route = {});
+    /** Which way a kernel network leg moves a message. */
+    enum class LegDir { Send, Receive };
+
+    /** Caller identity keying pools and breakers (this app = client). */
+    const void *callerKey(const RpcCall &call) const;
 
     /**
-     * Cross-shard leg of one attempt: charge the forward NIC/wire leg
-     * on the caller, marshal the call, and post it to the target
-     * tier's home shard; the home shard's serveRemote posts the delta
-     * back, where it merges into @p req and settles the attempt.
+     * Issue one RPC, applying the target's resilience policy (deadline
+     * check, breaker gate, retry loop around rpcAttempt). With an
+     * inactive policy this is a passthrough to a single attempt — the
+     * legacy fire-and-wait path. @p done fires back on the caller with
+     * the outcome and wall time.
      */
-    void remoteAttempt(unsigned caller_server,
-                       std::shared_ptr<AttemptState> as,
-                       Microservice &target, RequestPtr req,
-                       trace::SpanId parent_span, Bytes req_payload,
-                       Bytes resp_payload, Bytes req_wire, Bytes resp_wire,
-                       unsigned attempt_no, const data::RouteHint &route);
+    void rpcCall(RpcCall call, RpcDone done);
+
+    /** Issue @p stage's RPC to @p target from the handler in @p ctx. */
+    void stageCall(const std::shared_ptr<HandlerCtx> &ctx,
+                   const Stage &stage, Microservice &target, RpcDone done,
+                   data::RouteHint route = {});
+
+    /**
+     * Attempt @p attempt_no of a resilient call; after a retryable
+     * failure, back off and recurse with the next attempt number.
+     */
+    void retryAttempt(RpcCall call, rpc::CircuitBreaker *br,
+                      unsigned attempt_no, RpcDone done);
+
+    /**
+     * Deadline and breaker gate in front of an attempt; counts a
+     * refusal and returns its status, or Ok to go ahead.
+     */
+    RpcStatus gateAttempt(const Request &req, rpc::CircuitBreaker *br);
+
+    /**
+     * One attempt of an RPC: size it, arm its timeout, take a pooled
+     * connection and run the caller's send leg, then routeAttempt.
+     */
+    void rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done);
+
+    /**
+     * A sent attempt: pick the serving instance and carry the request
+     * there over the fabric, or hand it to remoteAttempt when the
+     * target is homed on another shard.
+     */
+    void routeAttempt(const std::shared_ptr<AttemptState> &as);
+
+    /**
+     * Cross-shard transport of a sent attempt: charge the forward NIC
+     * and wire time, marshal the call, and post it to the target
+     * tier's home shard; that shard's serveRemote posts the delta
+     * back, where it merges into the request before receiveReply.
+     */
+    void remoteAttempt(const std::shared_ptr<AttemptState> &as);
+
+    /**
+     * The caller's reply-receive leg, then settle the attempt with
+     * @p status (publishing a remote keyed-store outcome first).
+     */
+    void receiveReply(const std::shared_ptr<AttemptState> &as,
+                      RpcStatus status, std::uint8_t remote_hit);
+
+    /**
+     * The callee side of one hop, shared by local and cross-shard
+     * calls: receive leg at @p inst, admission and handling, reply
+     * leg and span close; @p reply then carries @p status back.
+     */
+    void serveHop(Instance &inst, RequestPtr req, trace::SpanId parent_span,
+                  unsigned attempt_no, const RpcBytes &bytes,
+                  std::shared_ptr<bool> abandoned,
+                  std::function<void(RpcStatus)> reply);
+
+    /**
+     * One kernel network leg: (de)serialization plus kernel TCP (or
+     * FPGA host) cycles on @p server, charged to @p svc's kernel
+     * mode, with the busy time added to @p req's network and TCP
+     * time. A caller-side leg passes its attempt @p as: the time then
+     * also counts as caller network, and nothing happens once the
+     * attempt has settled. @p done receives the busy time.
+     */
+    template <typename Done>
+    void netLeg(cpu::Server &server, Microservice *svc,
+                const rpc::ProtocolModel &proto, LegDir dir, Bytes payload,
+                Bytes wire, RequestPtr req, std::shared_ptr<AttemptState> as,
+                Done done);
+
+    /**
+     * Carry a local attempt's message of @p wire bytes over the
+     * fabric; on landing, unless the attempt settled meanwhile, count
+     * the NIC queueing, FPGA pipeline and propagation time and run
+     * @p done.
+     */
+    template <typename Done>
+    void wireLeg(unsigned from, unsigned to, Bytes wire,
+                 std::shared_ptr<AttemptState> as, Done done);
 
     /** Settle one attempt exactly once and fire its completion. */
     void settleAttempt(AttemptState &as, RpcStatus status);
@@ -532,12 +620,26 @@ class App
                                          RpcStatus)>
                           respond);
 
+    /**
+     * Close a served span after its reply leg: stamp the end, record
+     * the tier latency or failure, and collect it.
+     */
+    void closeSpan(HandlerCtx &ctx, RpcStatus status, Tick reply_busy);
+
     /** Start handling queued work if threads are available. */
     void maybeStartHandling(Instance &inst);
 
     /** Interpret stage @p idx of the handler program. */
     void runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                   std::function<void()> done);
+
+    /**
+     * Call @p i of a sequential fanout stage, then the next one; the
+     * first failure skips the rest and continues with @p next.
+     */
+    void callSequential(std::shared_ptr<HandlerCtx> ctx, const Stage &stage,
+                        Microservice &target, unsigned i,
+                        std::function<void()> next);
 
     /**
      * Drive one 2PC multi-partition transaction from a write-tagged

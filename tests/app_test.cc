@@ -440,5 +440,51 @@ TEST_F(AppTest, DuplicateServiceNameFatal)
     EXPECT_DEATH(app.addService(a), "duplicate");
 }
 
+TEST_F(AppTest, EveryNetworkLegChargesItsTierKernel)
+{
+    // One request through client -> front -> back. Every hop has four
+    // kernel legs: the caller's send and reply receive, the callee's
+    // receive and reply send. The client is not a tier, so front pays
+    // two legs of the entry hop and two of its call to back.
+    App &app = *world_.app;
+    ServiceDef back;
+    back.name = "back";
+    back.handler.compute(Dist::constant(10000.0));
+    app.addService(std::move(back)).addInstance(world_.worker(1));
+    ServiceDef front;
+    front.name = "front";
+    front.kind = ServiceKind::Frontend;
+    front.handler.compute(Dist::constant(10000.0)).call("back");
+    app.addService(std::move(front)).addInstance(world_.worker(0));
+    app.setEntry("front");
+    app.addQueryType({"q", 1.0, 1.0, 0, {}});
+    app.validate();
+    app.inject(0, 7);
+    world_.sim.run();
+    ASSERT_EQ(app.completed(), 1u);
+
+    const net::TcpCostModel &tcp = app.config().tcp;
+    const auto send = [&](const Microservice &callee, Bytes payload) {
+        const rpc::ProtocolModel &proto = callee.def().protocol;
+        return static_cast<double>(proto.serializeCost(payload) +
+                                   tcp.sendCost(proto.wireSize(payload)));
+    };
+    const auto recv = [&](const Microservice &callee, Bytes payload) {
+        const rpc::ProtocolModel &proto = callee.def().protocol;
+        return static_cast<double>(proto.deserializeCost(payload) +
+                                   tcp.recvCost(proto.wireSize(payload)));
+    };
+    const Microservice &f = app.service("front");
+    const Microservice &b = app.service("back");
+    const Bytes b_req = b.def().defaultRequestBytes;
+    const Bytes b_resp = b.def().defaultResponseBytes;
+    const double back_legs = recv(b, b_req) + send(b, b_resp);
+    const double front_legs = recv(f, app.config().clientRequestBytes) +
+                              send(f, app.config().clientResponseBytes) +
+                              send(b, b_req) + recv(b, b_resp);
+    EXPECT_DOUBLE_EQ(b.kernelCycles(), back_legs);
+    EXPECT_DOUBLE_EQ(f.kernelCycles(), front_legs);
+}
+
 } // namespace
 } // namespace uqsim::service

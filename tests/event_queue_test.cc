@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/event_queue.hh"
@@ -102,6 +103,36 @@ TEST(EventQueueTest, CancelAfterFireIsNoop)
     EXPECT_TRUE(q.empty());
     q.schedule(2, [] {});
     EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueueTest, CancelledCallbackDiesOnceItsTickPasses)
+{
+    // A held handle keeps the node (for status queries) but must not
+    // keep the cancelled closure and whatever it captured.
+    EventQueue q;
+    auto sentinel = std::make_shared<int>(0);
+    EventHandle h = q.schedule(10, [sentinel] {});
+    q.schedule(20, [] {});
+    h.cancel();
+    EXPECT_EQ(sentinel.use_count(), 2);
+    q.popNext().second();
+    EXPECT_TRUE(h.isCancelled());
+    EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(EventQueueTest, DestructionFreesCallbacksOwningTheirHandle)
+{
+    // The closure owns the handle naming it: a cycle through the pool
+    // that only the queue's destructor can break.
+    auto sentinel = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = sentinel;
+    {
+        EventQueue q;
+        auto owner = std::make_shared<EventHandle>();
+        *owner = q.schedule(5, [owner, sentinel] {});
+        sentinel.reset();
+    }
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventQueueTest, DefaultHandleIsInvalid)
