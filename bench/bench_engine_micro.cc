@@ -270,11 +270,11 @@ BM_SocialNetworkRequest(benchmark::State &state)
     Rng rng(7);
     for (auto _ : state) {
         w.app->inject(mix.sample(rng), users.sample(rng));
-        w.sim.run();
+        w.ctx.run();
     }
     state.SetItemsProcessed(state.iterations());
     state.counters["events/req"] = benchmark::Counter(
-        static_cast<double>(w.sim.eventsExecuted()) /
+        static_cast<double>(w.ctx.eventsExecuted()) /
         static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_SocialNetworkRequest);

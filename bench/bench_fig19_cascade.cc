@@ -98,11 +98,11 @@ main()
 
     // Healthy period, then the hotspot: the server hosting the first
     // posts-db shard becomes slow (e.g. co-scheduled antagonist).
-    w->sim.runUntil(secToTicks(60.0));
+    w->ctx.runUntil(secToTicks(60.0));
     const unsigned hot_server =
         app.service("posts-db").instances()[0]->server().id();
     w->cluster.server(hot_server).setSlowFactor(14.0);
-    w->sim.runUntil(secToTicks(180.0));
+    w->ctx.runUntil(secToTicks(180.0));
 
     // Baseline over the healthy first 50 s.
     const auto baseline = baselineLatency(pipe.store(), 50);

@@ -61,7 +61,7 @@ panelA()
         // User before query type: the order fixes the seeded stream.
         const std::uint64_t user = users.sample(rng);
         const unsigned query = mix.sample(rng);
-        if (limiter && !limiter->tryAcquire(w->sim.now(), 1.0))
+        if (limiter && !limiter->tryAcquire(w->ctx.now(), 1.0))
             ++rejected;
         else
             app.inject(query, user);
@@ -69,9 +69,9 @@ panelA()
             1, static_cast<Tick>(
                    rng.exponential(static_cast<double>(kTicksPerSec) /
                                    qps)));
-        w->sim.schedule(gap, arrivals);
+        w->ctx.schedule(gap, arrivals);
     };
-    w->sim.schedule(1, arrivals);
+    w->ctx.schedule(1, arrivals);
 
     TextTable table({"t(s)", "entry p99(ms)", "composePost p99(ms)",
                      "readPost p99(ms)", "rejected", "drops"});
@@ -92,7 +92,7 @@ panelA()
         }
         if (t == 240)
             limiter.reset(); // limits lifted once queues drain
-        w->sim.runUntil(secToTicks(static_cast<double>(t)));
+        w->ctx.runUntil(secToTicks(static_cast<double>(t)));
         auto p99Ms = [&](const std::string &tier) {
             return ticksToMs(pipe.store().find(tier)->latest().p99);
         };

@@ -8,10 +8,12 @@
  * a dedicated client server that injects user requests (so client-side
  * protocol costs are modelled but never bottleneck).
  *
- * Standalone, a World owns its Simulator and is driven through it, as
- * before. Inside a WorldHandle (apps/scenario.hh) each World is one
- * shard: it is constructed with the shard's SimContext, all of its
- * components schedule into that shard's queue/clock, and the
+ * Standalone, a World privately owns a one-shard engine (a Simulator)
+ * and is driven through its context: `w.ctx.run*()`, `now()`,
+ * `eventsExecuted()`, `executionDigest()`. Inside a WorldHandle
+ * (apps/scenario.hh) each World is one shard and owns no engine: it is
+ * constructed with the shard's SimContext, all of its components
+ * schedule into that shard's queue/clock, and the WorldHandle's
  * ParallelSimulator drives every shard together. Under the Replicate
  * deployment the N worlds are independent replicas; under Partition
  * they are N identical builds of ONE graph whose tiers are pinned to
@@ -27,7 +29,7 @@
 #include <string>
 
 #include "core/distributions.hh"
-#include "core/sim_context.hh"
+#include "core/parallel.hh"
 #include "cpu/core_model.hh"
 #include "cpu/server.hh"
 #include "net/network.hh"
@@ -59,22 +61,25 @@ struct WorldConfig
  */
 class World
 {
+    /**
+     * The standalone world's own engine; null for a shard. Declared
+     * first so its queue outlives the app whose events it holds.
+     */
+    std::unique_ptr<ParallelSimulator> engine_;
+
   public:
+    /** A standalone world over its own one-shard engine. */
     explicit World(WorldConfig config = {});
 
     /**
      * Build this world as one shard of a larger deployment: every
-     * component schedules through @p ctx instead of the world's own
-     * Simulator (which stays dormant — don't drive `sim` here, drive
-     * the owning engine).
+     * component schedules through @p ctx, and the engine @p ctx
+     * belongs to drives the world.
      */
     World(WorldConfig config, SimContext ctx);
 
     World(const World &) = delete;
     World &operator=(const World &) = delete;
-
-    /** Drives standalone worlds; dormant when a shard context rules. */
-    Simulator sim;
 
     /** The scheduling context all of this world's components use. */
     SimContext ctx;
@@ -98,13 +103,8 @@ class World
     unsigned workers() const { return config_.workerServers; }
 
   private:
-    struct External
-    {
-        bool present = false;
-        SimContext ctx;
-    };
-
-    World(WorldConfig config, External ext);
+    /** Servers, client machine, network and app (both modes). */
+    void build();
 
     WorldConfig config_;
     cpu::Server *client_ = nullptr;

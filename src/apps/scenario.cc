@@ -23,13 +23,6 @@ namespace {
 /** Golden-ratio stride: distinct shard seeds from one root seed. */
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ull;
 
-/**
- * XORed into the workload seed to derive each arrival process's RNG
- * stream, so arrival draws never collide with the generator's own
- * query-mix/user draws from the same root seed.
- */
-constexpr std::uint64_t kArrivalSeedTag = 0xa0761d6478bd642full;
-
 std::string
 ticksField(Tick t)
 {
@@ -1134,89 +1127,30 @@ runWorld(WorldHandle &w, const LoadSpec &spec)
 {
     const unsigned shards = w.shards();
     const bool partitioned = w.deployment() == Deployment::Partition;
-    ParallelSimulator &engine = w.engine();
 
-    // Replicate: per-shard generators, each shard an independent
+    // Replicate: one generator per shard, each shard an independent
     // replica fed its slice of the offered load with a shard-derived
-    // workload seed. Construction/start order mirrors
-    // workload::runLoad() so the one-shard call sequence (and digest)
-    // is unchanged.
+    // workload seed (shardSeed(seed, 0) == seed, so one shard is
+    // runLoad()'s own call).
     //
     // Partition: one generator on shard 0 — the world's single entry
     // point — at the full rate with the plain seed; handler work lands
-    // on whichever shard each tier calls home.
-    std::vector<std::unique_ptr<workload::OpenLoopGenerator>> gens;
-    const unsigned gen_shards = partitioned ? 1u : shards;
-    gens.reserve(gen_shards);
-    for (unsigned i = 0; i < gen_shards; ++i) {
-        service::App &app = *w.shard(i).app;
-        const std::uint64_t gen_seed =
-            partitioned ? spec.seed : WorldHandle::shardSeed(spec.seed, i);
-        const double gen_qps =
-            partitioned ? spec.qps : spec.qps / shards;
-        gens.push_back(std::make_unique<workload::OpenLoopGenerator>(
-            app, workload::QueryMix::fromApp(app), spec.users,
-            gen_seed));
-        gens.back()->setQps(gen_qps);
-        // The Poisson default attaches nothing: the generator keeps
-        // drawing gaps from its own stream, bit-identical to every
-        // pre-arrival-library run. Other processes get a disjoint
-        // stream so only the arrival instants change.
-        if (spec.arrival.kind != workload::ArrivalKind::Poisson)
-            gens.back()->setArrivalProcess(
-                workload::ArrivalProcess::make(
-                    spec.arrival, gen_qps,
-                    gen_seed ^ kArrivalSeedTag));
-        gens.back()->start();
+    // on whichever shard each tier calls home, and every request
+    // completes on shard 0, so only shard 0 carries end-to-end
+    // numbers. Utilization spans every shard's servers in both modes.
+    const unsigned injecting = partitioned ? 1u : shards;
+    std::vector<workload::LoadSource> sources;
+    std::vector<service::App *> apps;
+    for (unsigned i = 0; i < shards; ++i) {
+        service::App *app = w.shard(i).app.get();
+        apps.push_back(app);
+        if (i < injecting)
+            sources.push_back({app, workload::QueryMix::fromApp(*app),
+                               spec.qps / injecting,
+                               WorldHandle::shardSeed(spec.seed, i)});
     }
-    engine.runFor(spec.warmup);
-    for (unsigned i = 0; i < shards; ++i)
-        w.shard(i).app->statReset();
-    engine.runFor(spec.measure);
-    for (auto &gen : gens)
-        gen->stop();
-    // Bounded drain window, as in runLoad(): completions of arrivals
-    // inside the window are kept; rates use the arrival window only.
-    engine.runFor(spec.measure / 5);
-    const double span_sec = ticksToSec(spec.measure);
-
-    // Aggregate the measured window. Replicate sums end-to-end results
-    // across all shards (with one shard every expression degenerates
-    // to runLoad()'s own); a partition completes every request on the
-    // injecting shard 0, remote per-tier work already folded back into
-    // each request, so only shard 0 carries end-to-end numbers.
-    // Utilization spans every shard's servers in both modes.
-    workload::LoadResult r;
-    r.offeredQps = spec.qps;
-    Histogram latency;
-    std::uint64_t within_qos = 0;
-    double util_sum = 0.0, net_sum = 0.0, comp_sum = 0.0;
-    const unsigned e2e_shards = partitioned ? 1u : shards;
-    for (unsigned i = 0; i < e2e_shards; ++i) {
-        service::App &app = *w.shard(i).app;
-        r.completed += app.completed();
-        r.dropped += app.droppedRequests();
-        within_qos += app.completedWithinQos();
-        latency.merge(app.endToEndLatency());
-        const double n = static_cast<double>(app.completed());
-        net_sum += app.meanNetworkTimePerRequest() * n;
-        comp_sum += app.meanAppTimePerRequest() * n;
-    }
-    for (unsigned i = 0; i < shards; ++i)
-        util_sum += w.shard(i).app->cluster().averageUtilization();
-    r.p50 = latency.p50();
-    r.p95 = latency.p95();
-    r.p99 = latency.p99();
-    r.meanMs = ticksToMs(static_cast<Tick>(latency.mean()));
-    r.achievedQps =
-        span_sec > 0.0 ? static_cast<double>(r.completed) / span_sec : 0.0;
-    r.goodputQps = span_sec > 0.0
-                       ? static_cast<double>(within_qos) / span_sec
-                       : 0.0;
-    r.meanUtilization = util_sum / std::max(1u, shards);
-    r.networkShare =
-        (net_sum + comp_sum) > 0.0 ? net_sum / (net_sum + comp_sum) : 0.0;
-    return r;
+    return workload::runLoadWindow(sources, apps, spec.qps, spec.warmup,
+                                   spec.measure, spec.users, spec.arrival);
 }
 
 ScenarioWorld::ScenarioWorld(const Scenario &s, bool meterEnergy)

@@ -399,14 +399,14 @@ struct LoadSpec
 };
 
 /**
- * The unified load driver for both deployment modes.
+ * The load driver for both deployment modes: workload::runLoadWindow(),
+ * the body runLoad() also runs, over this world's shards.
  *
  * Replicate: every shard gets its own open-loop generator at
  * qps/shards (workload seed shardSeed(seed, i)); the measured window
  * is aggregated across shards (histograms merged, counts summed,
- * utilization averaged). With one shard this issues the exact call
- * sequence of workload::runLoad(), so digests and printed numbers
- * match the classic path bit-for-bit.
+ * utilization averaged). With one shard this is runLoad() on shard 0's
+ * app, so digests and printed numbers match it bit-for-bit.
  *
  * Partition: one generator drives shard 0's app — the world's single
  * entry point — at the full qps with the plain seed; handler work

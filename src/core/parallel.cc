@@ -27,6 +27,8 @@ mix64(std::uint64_t x)
 
 } // namespace
 
+ParallelSimulator::ParallelSimulator() : ParallelSimulator(Config{}) {}
+
 ParallelSimulator::ParallelSimulator(Config config)
     : lookahead_(config.lookahead)
 {
@@ -142,16 +144,6 @@ ParallelSimulator::deliverMail()
     }
 }
 
-Tick
-ParallelSimulator::minNextTick() const
-{
-    Tick min_next = kMaxTick;
-    for (const auto &s : shards_)
-        if (!s->queue.empty())
-            min_next = std::min(min_next, s->queue.nextTick());
-    return min_next;
-}
-
 void
 ParallelSimulator::addClockObserver(unsigned shard, Tick interval,
                                     ClockObserverFn fn)
@@ -170,28 +162,44 @@ ParallelSimulator::addClockObserver(unsigned shard, Tick interval,
 }
 
 void
+ParallelSimulator::fireObservers(Shard &s, Tick limit)
+{
+    if (limit < s.nextBoundary)
+        return;
+    s.nextBoundary = kMaxTick;
+    for (ClockObserver &o : s.observers) {
+        while (o.next <= limit) {
+            o.fn(o.next);
+            if (o.next > kMaxTick - o.interval) {
+                o.next = kMaxTick; // saturate instead of wrapping
+                break;
+            }
+            o.next += o.interval;
+        }
+        s.nextBoundary = std::min(s.nextBoundary, o.next);
+    }
+}
+
+void
 ParallelSimulator::runShard(Shard &s, Tick horizon)
 {
     EventQueue &q = s.queue;
     if (s.observers.empty()) {
         // Observer-free fast path: no per-event boundary check.
-        while (!q.empty() && q.nextTick() < horizon) {
+        while (!q.empty() && q.nextTick() <= horizon) {
             auto [when, cb] = q.popNext();
             s.now = when;
             cb();
         }
         return;
     }
-    while (!q.empty() && q.nextTick() < horizon) {
+    while (!q.empty() && q.nextTick() <= horizon) {
         // Boundaries <= the next local event time are due. Nothing
-        // below the horizon can still arrive by mail (the lookahead
-        // contract), so all events < boundary have already executed —
-        // the lazily-fired sample equals an eagerly-fired one. The
-        // cached earliest boundary keeps the idle cost at one compare.
-        if (q.nextTick() >= s.nextBoundary) {
-            fireClockObservers(s.observers, q.nextTick());
-            s.nextBoundary = nextClockBoundary(s.observers);
-        }
+        // at or below the horizon can still arrive by mail (the
+        // lookahead contract), so all events < boundary have already
+        // executed — the lazily-fired sample equals an eagerly-fired
+        // one.
+        fireObservers(s, q.nextTick());
         auto [when, cb] = q.popNext();
         s.now = when;
         cb();
@@ -247,45 +255,46 @@ ParallelSimulator::workerLoop(unsigned index)
 }
 
 void
+ParallelSimulator::drain(Tick deadline)
+{
+    while (true) {
+        deliverMail();
+        bool pending = false;
+        Tick min_next = kMaxTick;
+        for (const auto &s : shards_)
+            if (!s->queue.empty()) {
+                pending = true;
+                min_next = std::min(min_next, s->queue.nextTick());
+            }
+        if (!pending || min_next > deadline)
+            return;
+        // Mail sent in this round lands at >= min_next + lookahead, so
+        // the round may run through one tick before that; satAdd keeps
+        // an "infinite" lookahead from wrapping.
+        runRound(std::min(deadline, satAdd(min_next, lookahead_ - 1)));
+    }
+}
+
+void
 ParallelSimulator::runUntil(Tick deadline)
 {
     for (const auto &s : shards_)
         if (deadline < s->now)
             panic(strCat("runUntil(", deadline, ") in the past; shard "
                          "clock now=", s->now));
-    while (true) {
-        deliverMail();
-        const Tick min_next = minNextTick();
-        if (min_next > deadline)
-            break;
-        // Events fire while strictly below the horizon, so the
-        // inclusive deadline needs horizon = deadline + 1; satAdd
-        // keeps both that and an "infinite" lookahead from wrapping.
-        const Tick horizon = std::min(satAdd(deadline, 1),
-                                      satAdd(min_next, lookahead_));
-        runRound(horizon);
-    }
+    drain(deadline);
     for (auto &s : shards_) {
         s->now = deadline;
         // The window is fully executed on every shard: flush each
         // shard's boundaries it covers (driver thread, deterministic).
-        if (deadline >= s->nextBoundary) {
-            fireClockObservers(s->observers, deadline);
-            s->nextBoundary = nextClockBoundary(s->observers);
-        }
+        fireObservers(*s, deadline);
     }
 }
 
 void
 ParallelSimulator::run()
 {
-    while (true) {
-        deliverMail();
-        const Tick min_next = minNextTick();
-        if (min_next == kMaxTick)
-            break;
-        runRound(satAdd(min_next, lookahead_));
-    }
+    drain(kMaxTick);
 }
 
 void
@@ -295,6 +304,12 @@ ParallelSimulator::runFor(Tick duration)
     for (const auto &s : shards_)
         start = std::max(start, s->now);
     runUntil(satAdd(start, duration));
+}
+
+EventHandle
+ParallelSimulator::scheduleAt(Tick when, EventCallback cb)
+{
+    return context(0).scheduleAt(when, std::move(cb));
 }
 
 std::uint64_t
@@ -317,8 +332,8 @@ ParallelSimulator::shardDigest(unsigned shard) const
 std::uint64_t
 ParallelSimulator::executionDigest() const
 {
-    // One shard must stay bit-identical to the Simulator digest so a
-    // sharded world with --shards 1 proves the whole refactor inert.
+    // One shard reports its own digest verbatim, so --shards 1 keeps
+    // every pinned single-world digest.
     if (shards_.size() == 1)
         return shards_[0]->queue.executionDigest();
     // Commutative composition (wrapping sum of a per-shard mix): the
@@ -334,57 +349,50 @@ ParallelSimulator::executionDigest() const
 
 // -- SimContext methods needing the engine definition -------------------
 
+SimContext::SimContext(ParallelSimulator &engine)
+    : SimContext(engine.context(0))
+{}
+
 void
 SimContext::postToShard(unsigned dst, Tick delay, EventCallback cb)
 {
-    const Tick when = satAdd(now(), delay);
-    if (!engine_) {
-        if (dst != 0)
-            panic(strCat("postToShard(", dst, ") in a single-shard "
-                         "world"));
-        queue_->schedule(when, std::move(cb));
-        return;
-    }
-    engine_->postToShard(shard_, dst, when, std::move(cb));
+    engine_->postToShard(shard_, dst, satAdd(now(), delay), std::move(cb));
 }
 
 void
 SimContext::addClockObserver(Tick interval, ClockObserverFn fn)
 {
-    if (engine_)
-        engine_->addClockObserver(shard_, interval, std::move(fn));
-    else
-        sim_->addClockObserver(interval, std::move(fn));
+    engine_->addClockObserver(shard_, interval, std::move(fn));
 }
 
 unsigned
 SimContext::shardCount() const
 {
-    return engine_ ? engine_->shardCount() : 1;
+    return engine_->shardCount();
 }
 
 Tick
 SimContext::lookahead() const
 {
-    return engine_ ? engine_->lookahead() : kMaxTick;
+    return engine_->lookahead();
 }
 
 void
 SimContext::run()
 {
-    if (engine_)
-        engine_->run();
-    else
-        sim_->run();
+    engine_->run();
 }
 
 void
 SimContext::runUntil(Tick deadline)
 {
-    if (engine_)
-        engine_->runUntil(deadline);
-    else
-        sim_->runUntil(deadline);
+    engine_->runUntil(deadline);
+}
+
+void
+SimContext::runFor(Tick duration)
+{
+    engine_->runFor(duration);
 }
 
 void
@@ -392,8 +400,8 @@ SimContext::pastScheduleError(Tick when) const
 {
     const Tick now_tick = *now_;
     panic(strCat("scheduleAt(when=", when, ") is ", now_tick - when,
-                 " ticks in the past (now=", now_tick, ", shard ",
-                 shard_, ")"));
+                 " ticks in the past (now=", now_tick,
+                 shardCount() > 1 ? strCat(", shard ", shard_) : "", ")"));
 }
 
 } // namespace uqsim

@@ -1,14 +1,18 @@
 /**
  * @file
- * Conservative sharded parallel discrete-event engine.
+ * The discrete-event engine: a conservative sharded simulator.
  *
- * The world is partitioned into shards; each shard owns its own
- * EventQueue and clock and executes strictly sequentially, so all
- * single-threaded invariants of the model hold within a shard. Shards
- * are synchronized with a barrier-stepped conservative protocol:
+ * This is the simulator's only engine. The world is partitioned into
+ * shards; each shard owns its own EventQueue and clock and executes
+ * strictly sequentially, so all single-threaded invariants of the
+ * model hold within a shard. The default configuration — one shard, no
+ * cross-shard channel, one thread — is the classic sequential
+ * simulator, named `Simulator` (core/simulator.hh). Shards are
+ * synchronized with a barrier-stepped conservative protocol:
  *
- *   round:  horizon = min(next event time over all shards) + lookahead
- *           every shard executes its events with time < horizon
+ *   round:  horizon = min(next event time over all shards)
+ *                     + lookahead - 1
+ *           every shard executes its events with time <= horizon
  *   barrier: cross-shard events buffered during the round are merged
  *            into their destination queues in deterministic
  *            (when, source shard, source sequence) order
@@ -17,15 +21,15 @@
  * worlds: the minimum inter-shard wire latency); every cross-shard
  * event must be scheduled at least `lookahead` ticks in the future,
  * which is what makes executing the window [minNext, minNext+lookahead)
- * safe: nothing sent during the round can land inside it.
+ * safe: nothing sent during the round can land inside it. With one
+ * shard (lookahead kMaxTick) a run is one round over the whole queue.
  *
  * Determinism is by construction, independent of the worker-thread
  * count: shard execution is sequential, rounds are a pure function of
  * simulation state, and mailbox merges are sorted. Per-shard FNV-1a
  * digests compose into a run digest that is order-sensitive within a
  * shard and order-insensitive (commutative) across shards; with one
- * shard the composed digest is bit-identical to the single-threaded
- * Simulator digest. See docs/PARALLEL.md.
+ * shard the composed digest is that shard's own. See docs/PARALLEL.md.
  */
 
 #ifndef UQSIM_CORE_PARALLEL_HH
@@ -33,6 +37,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -45,7 +50,7 @@
 namespace uqsim {
 
 /**
- * Sharded simulation driver: N queues, N clocks, one horizon.
+ * Simulation driver: N queues, N clocks, one horizon.
  */
 class ParallelSimulator
 {
@@ -71,6 +76,8 @@ class ParallelSimulator
         unsigned threads = 1;
     };
 
+    /** The default configuration: one shard, no channel, one thread. */
+    ParallelSimulator();
     explicit ParallelSimulator(Config config);
     ~ParallelSimulator();
 
@@ -94,15 +101,24 @@ class ParallelSimulator
     Tick now(unsigned shard) const;
 
     /**
-     * Register a periodic clock observer on @p shard (see
-     * ClockObserver in core/simulator.hh for semantics): it fires at
-     * every multiple of @p interval between that shard's events, never
-     * as an event, so digests are untouched. Within a round the
-     * callback for boundary B runs after every local event with
-     * time < B; the conservative protocol guarantees no later mail can
-     * land below B, so the lazily-fired sample is identical to one
-     * taken eagerly — and therefore worker-thread-count invariant.
-     * Register before driving the engine.
+     * Register a periodic clock observer on @p shard: it fires at
+     * every multiple of @p interval, starting at the first multiple
+     * past the shard's clock, *between* events, not as one. When the
+     * callback for boundary B runs, every event of the shard with
+     * time < B has executed and none with time >= B has: it sees the
+     * world exactly as of instant B. Observers never enter the event
+     * queue, so a run with observers is digest-identical to one
+     * without (the basis of the obs layer's digest guarantee).
+     *
+     * Observers must not schedule events or mutate model state; they
+     * are a read-only sampling surface. Firing is lazy — a boundary
+     * with no event at or after it yet fires as soon as one appears,
+     * or at the runUntil() deadline — and deterministic: boundaries
+     * fire in registration order at equal ticks. The conservative
+     * protocol guarantees no later mail can land below a fired
+     * boundary, so the lazily-fired sample equals an eagerly-fired one
+     * and does not depend on the worker-thread count. Register before
+     * driving the engine; zero intervals are an internal error.
      */
     void addClockObserver(unsigned shard, Tick interval,
                           ClockObserverFn fn);
@@ -116,19 +132,44 @@ class ParallelSimulator
      */
     void runUntil(Tick deadline);
 
-    /** Convenience wrapper: runUntil(max shard clock + duration). */
+    /** runUntil(max shard clock + duration), saturating at kMaxTick. */
     void runFor(Tick duration);
+
+    // -- Shard-0 shorthands: the one-shard `Simulator` surface ---------
+
+    /** @return shard 0's clock. */
+    Tick now() const { return shards_[0]->now; }
+
+    /** Schedule on shard 0, @p delay ticks from now. */
+    EventHandle
+    schedule(Tick delay, EventCallback cb)
+    {
+        Shard &s = *shards_[0];
+        return s.queue.schedule(s.now + delay, std::move(cb));
+    }
+
+    /** Schedule on shard 0 at @p when (the past is an error). */
+    EventHandle scheduleAt(Tick when, EventCallback cb);
+
+    /** @return shard 0's event queue (stats, tests). */
+    const EventQueue &queue() const { return shards_[0]->queue; }
+
+    /** Register a clock observer on shard 0. */
+    void
+    addClockObserver(Tick interval, ClockObserverFn fn)
+    {
+        addClockObserver(0, interval, std::move(fn));
+    }
 
     /** Total events executed across all shards. */
     std::uint64_t eventsExecuted() const;
 
     /**
      * The composed run digest. One shard: that shard's FNV-1a digest
-     * verbatim (bit-identical to the Simulator path). N shards: a
-     * commutative mix of the per-shard digests, so the value is
-     * independent of cross-shard execution interleaving — and thus of
-     * the worker-thread count — while remaining order-sensitive within
-     * each shard.
+     * verbatim. N shards: a commutative mix of the per-shard digests,
+     * so the value is independent of cross-shard execution
+     * interleaving — and thus of the worker-thread count — while
+     * remaining order-sensitive within each shard.
      */
     std::uint64_t executionDigest() const;
 
@@ -137,6 +178,14 @@ class ParallelSimulator
 
   private:
     friend class SimContext;
+
+    /** One periodic clock observer (see addClockObserver). */
+    struct ClockObserver
+    {
+        Tick interval = 0;
+        Tick next = 0;
+        ClockObserverFn fn;
+    };
 
     /** One shard: queue + clock + outbound mail sequence. */
     struct Shard
@@ -179,13 +228,23 @@ class ParallelSimulator
      */
     void deliverMail();
 
-    /** Earliest pending event time across all shard queues. */
-    Tick minNextTick() const;
+    /**
+     * Fire @p s's observer boundaries <= @p limit. The cached earliest
+     * boundary keeps the idle cost at one compare.
+     */
+    static void fireObservers(Shard &s, Tick limit);
 
-    /** Execute one round: every shard runs events with time < horizon. */
+    /**
+     * The one dispatch loop behind run() and runUntil(): execute
+     * rounds until no queue holds an event at or before @p deadline.
+     * It stops on emptiness, so an event at kMaxTick still runs.
+     */
+    void drain(Tick deadline);
+
+    /** Execute one round: every shard runs events with time <= horizon. */
     void runRound(Tick horizon);
 
-    /** Sequentially run shard @p s up to @p horizon. */
+    /** Sequentially run shard @p s up to @p horizon (inclusive). */
     void runShard(Shard &s, Tick horizon);
 
     /** Worker-pool body for worker @p index. */

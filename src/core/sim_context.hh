@@ -2,39 +2,39 @@
  * @file
  * The scheduling handle every model component holds.
  *
- * A SimContext names the execution shard a component belongs to and is
- * the only scheduling surface model code may use: components never
- * touch a Simulator or EventQueue directly. The handle is a cheap
- * value type over (event queue, clock, shard id, engine):
+ * A SimContext names one shard of the simulation engine
+ * (ParallelSimulator, core/parallel.hh) and is the only scheduling
+ * surface model code may use: components never touch the engine or an
+ * EventQueue directly. The handle is a cheap value type over (event
+ * queue, clock, shard id, engine). ParallelSimulator::context(i) mints
+ * shard i's handle; an engine converts implicitly to its shard-0
+ * handle, so drivers (tests, benches, examples) that construct
+ * components with a one-shard `Simulator` (core/simulator.hh) compile
+ * unchanged.
  *
- *  - In a single-shard world it wraps a plain Simulator; the implicit
- *    conversion from `Simulator &` keeps drivers (tests, benches,
- *    examples) that construct components with a Simulator compiling
- *    unchanged.
- *  - In a sharded world it is minted by ParallelSimulator::context(i)
- *    and schedules into shard i's own queue and clock. Cross-shard
- *    communication goes through postToShard(), which enforces the
- *    conservative lookahead and delivers through the engine's
- *    mailboxes at the next synchronization barrier.
- *
- * Scheduling and clock reads are shard-local and wait-free; only
- * postToShard() to a *different* shard takes a (per-destination) lock.
- * See docs/PARALLEL.md for the migration guide from the old
- * `Simulator &` API.
+ * Cross-shard communication goes through postToShard(), which enforces
+ * the conservative lookahead and delivers through the engine's
+ * mailboxes at the next synchronization barrier. Scheduling and clock
+ * reads are shard-local and wait-free; only postToShard() to a
+ * *different* shard takes a (per-destination) lock. See
+ * docs/PARALLEL.md.
  */
 
 #ifndef UQSIM_CORE_SIM_CONTEXT_HH
 #define UQSIM_CORE_SIM_CONTEXT_HH
 
 #include <cstdint>
+#include <functional>
 
 #include "core/event_queue.hh"
-#include "core/simulator.hh"
 #include "core/types.hh"
 
 namespace uqsim {
 
 class ParallelSimulator;
+
+/** Callback observing a shard's clock at one interval boundary. */
+using ClockObserverFn = std::function<void(Tick boundary)>;
 
 /**
  * Shard-addressed scheduling handle (see file comment).
@@ -45,10 +45,8 @@ class SimContext
     /** Null handle; must be rebound before use. */
     SimContext() = default;
 
-    /** Single-shard context over a plain Simulator (implicit). */
-    SimContext(Simulator &sim)
-        : queue_(&sim.queue_), now_(&sim.now_), sim_(&sim)
-    {}
+    /** Shard 0 of @p engine (implicit: a Simulator converts). */
+    SimContext(ParallelSimulator &engine);
 
     /** @return the current simulated time of this shard. */
     Tick now() const { return *now_; }
@@ -66,7 +64,7 @@ class SimContext
     /**
      * Schedule a callback at absolute time @p when on this shard.
      * Scheduling in the past is an internal error; the panic reports
-     * the offending when/now ticks and the shard.
+     * the offending when/now ticks (and the shard, when sharded).
      */
     EventHandle
     scheduleAt(Tick when, EventCallback cb)
@@ -80,19 +78,19 @@ class SimContext
      * Schedule @p cb on shard @p dst, @p delay ticks from now.
      *
      * Same-shard posts degrade to schedule(). Cross-shard posts
-     * require a sharded world and `delay >= lookahead()` (the
-     * conservative synchronization window); violating either is an
-     * internal error. Cross-shard events are buffered in the engine's
-     * mailbox for @p dst and merged into its queue at the next barrier
-     * in deterministic (when, source shard, source sequence) order, so
-     * no cancellation handle is returned.
+     * require `delay >= lookahead()` (the conservative synchronization
+     * window); violating it is an internal error. Cross-shard events
+     * are buffered in the engine's mailbox for @p dst and merged into
+     * its queue at the next barrier in deterministic (when, source
+     * shard, source sequence) order, so no cancellation handle is
+     * returned.
      */
     void postToShard(unsigned dst, Tick delay, EventCallback cb);
 
     /** @return this component's shard id (0 in single-shard worlds). */
     unsigned shard() const { return shard_; }
 
-    /** @return the number of shards in the world (1 if unsharded). */
+    /** @return the number of shards in the world. */
     unsigned shardCount() const;
 
     /**
@@ -103,14 +101,11 @@ class SimContext
      */
     Tick lookahead() const;
 
-    /** @return true when this context belongs to a sharded world. */
-    bool sharded() const { return engine_ != nullptr; }
-
     /**
      * Register a periodic clock observer on this shard: @p fn fires at
      * every multiple of @p interval of this shard's clock, between
      * events rather than as one, so the execution digest is untouched
-     * (see ClockObserver in core/simulator.hh). The observer must be
+     * (see ParallelSimulator::addClockObserver). The observer must be
      * read-only over model state and must outlive all driving of the
      * world; there is no unregistration. Register before running.
      */
@@ -127,8 +122,8 @@ class SimContext
     /** Run the whole world up to @p deadline (clocks end there). */
     void runUntil(Tick deadline);
 
-    /** Convenience wrapper: runUntil(now() + duration). */
-    void runFor(Tick duration) { runUntil(*now_ + duration); }
+    /** Run the whole world @p duration past its latest shard clock. */
+    void runFor(Tick duration);
 
     // -- Shard-local observability ------------------------------------
 
@@ -162,9 +157,6 @@ class SimContext
     EventQueue *queue_ = nullptr;
     const Tick *now_ = nullptr;
     unsigned shard_ = 0;
-    /** Non-null in single-shard worlds (drives run*()). */
-    Simulator *sim_ = nullptr;
-    /** Non-null in sharded worlds. */
     ParallelSimulator *engine_ = nullptr;
 };
 

@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "core/simulator.hh"
+#include "core/sim_context.hh"
 #include "core/types.hh"
 #include "cpu/server.hh"
 
@@ -67,7 +67,7 @@ class EnergyMeter
 {
   public:
     /**
-     * @param sim      owning simulator
+     * @param ctx      scheduling context
      * @param cluster  servers to meter
      * @param model    per-server power parameters
      * @param interval sampling period

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/types.hh"
 #include "service/app.hh"
@@ -45,10 +46,40 @@ struct LoadResult
     }
 };
 
+/** One open-loop generator of a load window. */
+struct LoadSource
+{
+    service::App *app = nullptr;
+    QueryMix mix;
+    double qps = 0.0;
+    std::uint64_t seed = 0;
+};
+
+/**
+ * The measured load window behind runLoad() and apps::runWorld().
+ * @p sources and @p apps are non-empty and share one engine.
+ *
+ * Starts one open-loop generator per source, in order; runs @p warmup;
+ * resets the stats of every app in @p apps; runs @p measure; stops the
+ * generators; and gives in-flight requests a bounded drain of
+ * measure/5. A Poisson @p arrival attaches nothing (the generator's
+ * own sampler); any other kind gets a stream disjoint from the
+ * source's query-mix/user draws.
+ *
+ * End-to-end results (counts, merged latency, network share) cover
+ * the sources' apps; utilization averages over @p apps; rates use the
+ * arrival window only. With one source on one app every aggregate
+ * degenerates exactly to that app's own numbers.
+ */
+LoadResult runLoadWindow(const std::vector<LoadSource> &sources,
+                         const std::vector<service::App *> &apps,
+                         double offered_qps, Tick warmup, Tick measure,
+                         const UserPopulation &users,
+                         const ArrivalConfig &arrival);
+
 /**
  * Run @p app at @p qps for warmup+measure, return the measured-window
- * summary. Stats are reset after warmup. In-flight requests at the end
- * of the window are given a short drain period.
+ * summary: runLoadWindow() with one Poisson source on @p app.
  */
 LoadResult runLoad(service::App &app, double qps, Tick warmup,
                    Tick measure, const QueryMix &mix,

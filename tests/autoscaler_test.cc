@@ -58,7 +58,7 @@ TEST(MonitorTest, SamplesOnInterval)
     buildOneTier(w, 200.0, 16);
     Pipeline pipe(*w.app, sampledEvery(100 * kTicksPerMs));
     pipe.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     const Series *front = pipe.store().find("front");
     ASSERT_NE(front, nullptr);
     EXPECT_EQ(front->size(), 10u);
@@ -76,7 +76,7 @@ TEST(MonitorTest, LatencyAndUtilizationUnderLoad)
                                     3);
     gen.setQps(2000.0);
     gen.start();
-    w.sim.runFor(2 * kTicksPerSec);
+    w.ctx.runFor(2 * kTicksPerSec);
     const IntervalSample &s = pipe.store().find("front")->latest();
     EXPECT_GT(s.p99, 0u);
     EXPECT_GT(s.utilization, 0.02);
@@ -94,7 +94,7 @@ TEST(MonitorTest, BaselineLatencyFromEarlyRounds)
                                     3);
     gen.setQps(500.0);
     gen.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     // The early rounds carry the per-tier mean a "latency increase
     // over baseline" view (Figs 19/22a) divides by.
     const Series *front = pipe.store().find("front");
@@ -124,7 +124,7 @@ TEST(AutoScalerTest, ScalesOutUnderSaturation)
                                     3);
     gen.setQps(6000.0);
     gen.start();
-    w.sim.runFor(5 * kTicksPerSec);
+    w.ctx.runFor(5 * kTicksPerSec);
     ASSERT_GT(scaler.events().size(), 0u);
     EXPECT_GE(scaler.events().front().occupancy, AutoScaler::kThreshold);
     EXPECT_GT(w.app->service("front").instances().size(), 1u);
@@ -144,7 +144,7 @@ TEST(AutoScalerTest, NoScalingWhenIdle)
                       [&]() -> cpu::Server & { return w.nextWorker(); });
     scaler.watch("front");
     scaler.start();
-    w.sim.runFor(3 * kTicksPerSec);
+    w.ctx.runFor(3 * kTicksPerSec);
     EXPECT_EQ(scaler.events().size(), 0u);
 }
 
@@ -166,7 +166,7 @@ TEST(AutoScalerTest, CooldownLimitsRate)
                                     3);
     gen.setQps(8000.0);
     gen.start();
-    w.sim.runFor(4 * kTicksPerSec);
+    w.ctx.runFor(4 * kTicksPerSec);
     // Saturated every round, yet at most one scale-out per cooldown.
     EXPECT_GE(scaler.events().size(), 1u);
     EXPECT_LE(scaler.events().size(), 2u); // 4s / 2s cooldown
@@ -212,7 +212,7 @@ TEST(AutoScalerTest, ScaleBudgetLimitsPerRound)
                                     3);
     gen.setQps(8000.0);
     gen.start();
-    w.sim.runFor(kTicksPerSec);
+    w.ctx.runFor(kTicksPerSec);
     // >= 2 rounds happened; with budget 1 no two events share a tick.
     const auto &events = scaler.events();
     ASSERT_GE(events.size(), 2u);
@@ -282,8 +282,8 @@ saturatedRun()
                                     3);
     gen.setQps(6000.0);
     gen.start();
-    w.sim.runFor(3 * kTicksPerSec);
-    return ScaledRun{scaler.events(), w.sim.executionDigest()};
+    w.ctx.runFor(3 * kTicksPerSec);
+    return ScaledRun{scaler.events(), w.ctx.executionDigest()};
 }
 
 TEST(AutoScalerTest, SameSeedRunsScaleIdentically)

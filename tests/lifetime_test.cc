@@ -2,8 +2,10 @@
  * @file
  * Lifetime test: a destroyed world gives back every allocation it
  * made, including the state of requests still in flight when its run
- * stopped. The global allocator is replaced by a live-allocation
- * counter, so this file builds as its own test executable.
+ * stopped — a standalone World, and a partitioned WorldHandle whose
+ * engine queues must outlive the apps whose attempts they hold. The
+ * global allocator is replaced by a live-allocation counter, so this
+ * file builds as its own test executable.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <new>
 
 #include "apps/builder.hh"
+#include "apps/scenario.hh"
 #include "service/app.hh"
 
 namespace {
@@ -139,9 +142,9 @@ runWorld()
     app.enableCrashTracking();
 
     for (unsigned i = 0; i < 400; ++i)
-        world.sim.scheduleAt(i * 25 * kTicksPerUs,
+        world.ctx.scheduleAt(i * 25 * kTicksPerUs,
                              [&app, i]() { app.inject(0, i); });
-    world.sim.runUntil(6 * kTicksPerMs);
+    world.ctx.runUntil(6 * kTicksPerMs);
 
     RunStats stats;
     stats.injected = app.injected();
@@ -163,6 +166,49 @@ TEST(LifetimeTest, DestroyedWorldReturnsEveryAllocation)
     EXPECT_GT(stats.injected, stats.finished); // some still in flight
     EXPECT_GT(stats.timeouts, 0u);
     EXPECT_GT(stats.retries, 0u);
+    EXPECT_EQ(after, before);
+}
+
+/**
+ * Deploy social-network as one world partitioned over 4 shards, drive
+ * it with runWorld() on 2 worker threads, and stop with cross-shard
+ * calls in flight.
+ */
+RunStats
+runPartitionedWorld()
+{
+    apps::Scenario scn;
+    scn.app = "social-network";
+    scn.shards = 4;
+    scn.threads = 2;
+    scn.placement = "partition";
+    scn.qps = 2000.0;
+    scn.warmupSec = 0.05;
+    scn.durationSec = 0.2;
+    std::string error;
+    if (!apps::validateScenario(scn, error))
+        ADD_FAILURE() << error;
+    apps::ScenarioWorld run(scn);
+    apps::runWorld(run.world, run.load);
+
+    RunStats stats;
+    for (unsigned i = 0; i < run.world.shards(); ++i) {
+        const App &app = *run.world.shard(i).app;
+        stats.injected += app.injected();
+        stats.finished += app.completed() + app.failedRequests() +
+                          app.droppedRequests();
+    }
+    return stats;
+}
+
+TEST(LifetimeTest, DestroyedPartitionedWorldReturnsEveryAllocation)
+{
+    runPartitionedWorld(); // settles lazily built statics
+    const long long before = g_live.load();
+    const RunStats stats = runPartitionedWorld();
+    const long long after = g_live.load();
+
+    EXPECT_GT(stats.finished, 0u);
     EXPECT_EQ(after, before);
 }
 

@@ -222,7 +222,7 @@ TEST(ObsIntegrationTest, IntervalPercentilesTrackExactWithinBound)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(800.0);
     gen.start();
-    w.sim.runUntil(2 * kTicksPerSec);
+    w.ctx.runUntil(2 * kTicksPerSec);
 
     const obs::Series *e2e = pipe.store().find(obs::kEndToEndSeries);
     ASSERT_NE(e2e, nullptr);
@@ -292,7 +292,7 @@ TEST(ObsIntegrationTest, PerfettoExportGainsCounterTracks)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(300.0);
     gen.start();
-    w.sim.runUntil(kTicksPerSec);
+    w.ctx.runUntil(kTicksPerSec);
 
     const std::string frag = obs::perfettoCounterEvents(pipe.store());
     ASSERT_FALSE(frag.empty());
@@ -396,7 +396,7 @@ TEST(ObsIntegrationTest, SeriesRecordInFlightRequests)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(1000.0);
     gen.start();
-    w.sim.runUntil(kTicksPerSec);
+    w.ctx.runUntil(kTicksPerSec);
 
     EXPECT_GT(pipe.store().find("backend")->latest().inFlight, 0.0);
     EXPECT_GE(pipe.store().find("frontend")->latest().inFlight, 0.0);
@@ -417,7 +417,7 @@ TEST(ObsIntegrationTest, OccupancyColumnMatchesMeanOccupancy)
     // pipeline's, on the same world state: the freshly closed sample
     // must carry exactly the tiers' boundary occupancy.
     unsigned checked = 0;
-    w.sim.addClockObserver(pc.interval, [&](Tick boundary) {
+    w.ctx.addClockObserver(pc.interval, [&](Tick boundary) {
         for (const service::Microservice *svc : w.app->services()) {
             const obs::IntervalSample &s =
                 pipe.store().find(svc->name())->latest();
@@ -432,7 +432,7 @@ TEST(ObsIntegrationTest, OccupancyColumnMatchesMeanOccupancy)
         workload::UserPopulation::uniform(50), 1);
     gen.setQps(1000.0);
     gen.start();
-    w.sim.runUntil(kTicksPerSec);
+    w.ctx.runUntil(kTicksPerSec);
 
     EXPECT_EQ(checked, 10u);
     EXPECT_GT(pipe.store().find("backend")->latest().occupancy, 0.0);

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "apps/scenario.hh"
-#include "apps/social_network.hh"
 #include "core/rng.hh"
+#include "core/simulator.hh"
 #include "workload/load_sweep.hh"
 
 namespace uqsim {
@@ -32,7 +32,23 @@ struct ShardedRun
     std::uint64_t digest = 0;
     std::uint64_t events = 0;
     std::uint64_t completed = 0;
+    workload::LoadResult load;
 };
+
+/** The scenario runSharded() builds @p app_name from. */
+apps::Scenario
+scenarioFor(const std::string &app_name, unsigned shards,
+            unsigned threads, std::uint64_t seed)
+{
+    apps::Scenario scn;
+    scn.app = app_name;
+    scn.seed = seed;
+    scn.shards = shards;
+    scn.threads = threads;
+    if (app_name.rfind("swarm", 0) == 0)
+        scn.drones = 8;
+    return scn;
+}
 
 /** The determinism_test social-network workload, sharded. */
 ShardedRun
@@ -40,13 +56,8 @@ runSharded(const std::string &app_name, unsigned shards,
            unsigned threads, std::uint64_t seed, double qps,
            Tick measure = 3 * kTicksPerSec / 10)
 {
-    apps::Scenario scn;
-    scn.app = app_name;
-    scn.seed = seed;
-    scn.shards = shards;
-    scn.threads = threads;
-    if (app_name == "swarm-cloud")
-        scn.drones = 8;
+    const apps::Scenario scn =
+        scenarioFor(app_name, shards, threads, seed);
     apps::WorldHandle w(apps::worldConfigFor(scn), shards, threads);
     for (unsigned s = 0; s < shards; ++s)
         apps::buildScenarioApp(w.shard(s), scn);
@@ -56,11 +67,11 @@ runSharded(const std::string &app_name, unsigned shards,
     load.measure = measure;
     load.users = workload::UserPopulation::uniform(100);
     load.seed = seed;
-    const auto r = apps::runWorld(w, load);
     ShardedRun out;
+    out.load = apps::runWorld(w, load);
     out.digest = w.engine().executionDigest();
     out.events = w.engine().eventsExecuted();
-    out.completed = r.completed;
+    out.completed = out.load.completed;
     return out;
 }
 
@@ -80,22 +91,45 @@ TEST(ParallelDeterminismTest, SocialNetworkThreadCountInvariant)
 
 TEST(ParallelDeterminismTest, OneShardMatchesStandaloneWorld)
 {
-    // The classic single-Simulator path, exactly as determinism_test
-    // drives it.
-    apps::WorldConfig c;
-    c.workerServers = 5;
-    c.seed = 42;
-    apps::World standalone(c);
-    apps::buildSocialNetwork(standalone);
-    workload::runLoad(*standalone.app, 200.0, kTicksPerSec / 10,
-                      3 * kTicksPerSec / 10,
-                      workload::QueryMix::fromApp(*standalone.app),
-                      workload::UserPopulation::uniform(100), 42);
+    // runWorld() on one shard and runLoad() on a standalone World run
+    // the same load window, so each of the six catalog apps must agree
+    // bit-for-bit: the
+    // digest, the event count and every field of the result.
+    for (const std::string name : {"social-network", "media", "ecommerce",
+                                   "banking", "swarm-cloud",
+                                   "swarm-edge"}) {
+        SCOPED_TRACE(name);
+        // Swarm requests take ~600ms end to end (see below).
+        const bool swarm = name.rfind("swarm", 0) == 0;
+        const double qps = swarm ? 8.0 : 200.0;
+        const Tick measure =
+            swarm ? 2 * kTicksPerSec : 3 * kTicksPerSec / 10;
 
-    const ShardedRun sharded =
-        runSharded("social-network", 1, 1, 42, 200.0);
-    EXPECT_EQ(sharded.digest, standalone.sim.executionDigest());
-    EXPECT_EQ(sharded.events, standalone.sim.eventsExecuted());
+        const apps::Scenario scn = scenarioFor(name, 1, 1, 42);
+        apps::World standalone(apps::worldConfigFor(scn));
+        apps::buildScenarioApp(standalone, scn);
+        const workload::LoadResult a = workload::runLoad(
+            *standalone.app, qps, measure / 3, measure,
+            workload::QueryMix::fromApp(*standalone.app),
+            workload::UserPopulation::uniform(100), 42);
+
+        const ShardedRun sharded = runSharded(name, 1, 1, 42, qps, measure);
+        const workload::LoadResult &b = sharded.load;
+        EXPECT_GT(a.completed, 0u);
+        EXPECT_EQ(sharded.digest, standalone.ctx.executionDigest());
+        EXPECT_EQ(sharded.events, standalone.ctx.eventsExecuted());
+        EXPECT_EQ(b.offeredQps, a.offeredQps);
+        EXPECT_EQ(b.achievedQps, a.achievedQps);
+        EXPECT_EQ(b.goodputQps, a.goodputQps);
+        EXPECT_EQ(b.p50, a.p50);
+        EXPECT_EQ(b.p95, a.p95);
+        EXPECT_EQ(b.p99, a.p99);
+        EXPECT_EQ(b.meanMs, a.meanMs);
+        EXPECT_EQ(b.completed, a.completed);
+        EXPECT_EQ(b.dropped, a.dropped);
+        EXPECT_EQ(b.meanUtilization, a.meanUtilization);
+        EXPECT_EQ(b.networkShare, a.networkShare);
+    }
 }
 
 TEST(ParallelDeterminismTest, DifferentSeedsDifferentDigests)
