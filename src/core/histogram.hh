@@ -4,9 +4,11 @@
  *
  * The bucketing scheme follows HdrHistogram: values are grouped into
  * power-of-two ranges, each subdivided into 2^subBucketBits linear
- * sub-buckets, giving a bounded relative error (~1.6% for 6 bits)
- * across the full 64-bit range with a few KB of memory. This is what
- * every tail-latency statistic in uqsim is built on.
+ * sub-buckets. Only the upper half of each octave's sub-buckets is
+ * used, so a bucket spans at most 1/2^(subBucketBits-1) of its lower
+ * edge: the relative error is bounded by 1/32 (about 3.1%) for 6 bits,
+ * across the full 64-bit range. This is what every tail-latency
+ * statistic in uqsim is built on.
  */
 
 #ifndef UQSIM_CORE_HISTOGRAM_HH

@@ -4,11 +4,28 @@
 #include <utility>
 
 #include "core/logging.hh"
+#include "cpu/microarch.hh"
 
 namespace uqsim::cpu {
 
+namespace {
+
+/**
+ * Static profile of the kernel TCP/IP path every RPC hop runs on both
+ * ends: moderate footprint, fully kernel-mode, memory-touching code.
+ */
+const ServiceProfile kKernelTcp{.name = "kernel-tcp",
+                                .codeFootprintKb = 600.0,
+                                .branchEntropy = 0.20,
+                                .memIntensity = 0.40,
+                                .kernelShare = 1.0,
+                                .libShare = 0.0};
+
+} // namespace
+
 Server::Server(SimContext ctx, unsigned id, CoreModel model)
     : ctx_(ctx), id_(id), model_(std::move(model)),
+      kernelIpc_(MicroarchModel::effectiveIpc(kKernelTcp, model_)),
       freqMhz_(model_.nominalFreqMhz)
 {
     if (model_.coresPerServer == 0)

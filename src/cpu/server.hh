@@ -51,6 +51,9 @@ class Server
     /** Core type description. */
     const CoreModel &model() const { return model_; }
 
+    /** Effective IPC of kernel TCP/IP code here (set at construction). */
+    double kernelIpc() const { return kernelIpc_; }
+
     /** Number of cores. */
     unsigned numCores() const { return model_.coresPerServer; }
 
@@ -116,6 +119,7 @@ class Server
     SimContext ctx_;
     unsigned id_;
     CoreModel model_;
+    double kernelIpc_;
     double freqMhz_;
     double slowFactor_ = 1.0;
 

@@ -96,6 +96,8 @@ LambdaPlatform::applyToApp(service::App &app, const LambdaConfig &config,
         // container concurrency stops being the limit.
         svc->setThreadsPerInstance(1024);
     }
+    // Resolve the rewritten call stages and the new tier's edges.
+    app.validate();
 }
 
 std::uint64_t

@@ -32,7 +32,6 @@ struct HandlerCtx
 struct AttemptState
 {
     std::shared_ptr<bool> settled = std::make_shared<bool>(false);
-    App *app = nullptr;
     /** The call this attempts, and its sizes on the wire. */
     App::RpcCall call;
     RpcBytes bytes;
@@ -58,14 +57,21 @@ struct AttemptState
         return call.callerInst ? &call.callerInst->svc() : nullptr;
     }
 
-    ~AttemptState()
+    /** Leave the target's crash registry (a no-op unless on it). */
+    void
+    unregister()
     {
-        // An attempt can die without settling (e.g. its message was
-        // dropped by a partition and no timeout was set); keep the
-        // crash registry free of dangling pointers regardless.
-        if (registered && app && target)
-            app->unregisterAttempt(*target, this);
+        if (!registered)
+            return;
+        registered = false;
+        auto &v = target->inflight_;
+        v.erase(std::remove(v.begin(), v.end(), this), v.end());
     }
+
+    // An attempt can die without settling (e.g. its message was
+    // dropped by a partition and no timeout was set); keep the crash
+    // registry free of dangling pointers regardless.
+    ~AttemptState() { unregister(); }
 };
 
 namespace {
@@ -128,9 +134,10 @@ App::~App()
 {
     // Attempts still in flight at teardown die with the event queue,
     // after this app: keep their destructors off the registry.
-    for (auto &entry : inflight_)
-        for (AttemptState *as : entry.second)
-            as->registered = false;
+    for (Microservice *svc : serviceOrder_)
+        for (const auto &inst : svc->instances())
+            for (AttemptState *as : inst->inflight_)
+                as->registered = false;
 }
 
 Microservice &
@@ -140,7 +147,9 @@ App::addService(ServiceDef def)
         fatal(strCat("duplicate service '", def.name, "'"));
     auto svc = std::make_unique<Microservice>(*this, std::move(def));
     Microservice &ref = *svc;
+    ref.orderIndex_ = static_cast<unsigned>(serviceOrder_.size());
     serviceOrder_.push_back(&ref);
+    validated_ = false;
     services_[ref.name()] = std::move(svc);
     return ref;
 }
@@ -174,7 +183,14 @@ App::setEntry(const std::string &name)
 {
     if (!hasService(name))
         fatal(strCat("entry service '", name, "' does not exist"));
-    entry_ = name;
+    entry_ = &service(name);
+}
+
+const std::string &
+App::entry() const
+{
+    static const std::string none;
+    return entry_ ? entry_->name() : none;
 }
 
 unsigned
@@ -185,12 +201,6 @@ App::addQueryType(QueryType qt)
     return static_cast<unsigned>(queryTypes_.size() - 1);
 }
 
-Instance &
-App::addInstance(const std::string &name, cpu::Server &server)
-{
-    return service(name).addInstance(server);
-}
-
 void
 App::setClientServer(cpu::Server &server)
 {
@@ -198,23 +208,46 @@ App::setClientServer(cpu::Server &server)
 }
 
 void
-App::validate() const
+App::validate()
 {
-    if (entry_.empty())
+    if (!entry_)
         fatal(strCat("app '", config_.name, "': no entry service set"));
-    for (const Microservice *svc : serviceOrder_) {
-        for (const std::string &target : svc->def().handler.callTargets()) {
-            if (!hasService(target))
+    for (Microservice *svc : serviceOrder_) {
+        // A callee keeps its slot across re-validation, so edges made
+        // before a handler rewrite stay with the tier they lead to.
+        auto resolve = [this, svc](const std::string &name,
+                                   unsigned &slot) {
+            if (!hasService(name))
                 fatal(strCat("service '", svc->name(), "' calls unknown '",
-                             target, "'"));
-            if (target == svc->name())
+                             name, "'"));
+            Microservice *callee = &service(name);
+            if (callee == svc)
                 fatal(strCat("service '", svc->name(), "' calls itself"));
+            std::vector<Microservice *> &callees = svc->callees_;
+            const auto it = std::find(callees.begin(), callees.end(), callee);
+            slot = static_cast<unsigned>(it - callees.begin());
+            if (it == callees.end())
+                callees.push_back(callee);
+            return callee;
+        };
+        for (Stage &st : svc->mutableDef().handler.stages) {
+            if (st.kind != Stage::Kind::Call && st.kind != Stage::Kind::Cache)
+                continue;
+            st.callee = resolve(st.target, st.calleeSlot);
+            st.db = st.kind == Stage::Kind::Cache && !st.dbTarget.empty()
+                        ? resolve(st.dbTarget, st.dbSlot)
+                        : nullptr;
         }
         if (svc->instances().empty())
             fatal(strCat("service '", svc->name(), "' has no instances"));
+        for (const auto &inst : svc->instances())
+            inst->edges_.resize(svc->callees_.size());
     }
     if (!clientServer_)
         fatal(strCat("app '", config_.name, "': no client server set"));
+    if (queryTypes_.empty())
+        addQueryType(QueryType{});
+    validated_ = true;
 }
 
 std::string
@@ -243,118 +276,20 @@ App::exportDot() const
     for (const Microservice *svc : serviceOrder_)
         for (const std::string &t : svc->def().handler.callTargets())
             os << "  \"" << svc->name() << "\" -> \"" << t << "\";\n";
-    if (!entry_.empty()) {
+    if (entry_) {
         os << "  \"client\" [shape=plaintext];\n";
-        os << "  \"client\" -> \"" << entry_ << "\";\n";
+        os << "  \"client\" -> \"" << entry_->name() << "\";\n";
     }
     os << "}\n";
     return os.str();
 }
 
-double
-App::kernelIpc(const cpu::Server &server)
-{
-    auto it = kernelIpcCache_.find(server.model().name);
-    if (it != kernelIpcCache_.end())
-        return it->second;
-    // Static profile of the kernel TCP/IP path: moderate footprint,
-    // fully kernel-mode, memory-touching code.
-    cpu::ServiceProfile kp;
-    kp.name = "kernel-tcp";
-    kp.codeFootprintKb = 600.0;
-    kp.branchEntropy = 0.20;
-    kp.memIntensity = 0.40;
-    kp.kernelShare = 1.0;
-    kp.libShare = 0.0;
-    const double ipc = cpu::MicroarchModel::effectiveIpc(kp, server.model());
-    kernelIpcCache_[server.model().name] = ipc;
-    return ipc;
-}
-
-double
-App::serviceIpc(const Microservice &svc, const cpu::Server &server)
-{
-    const std::string key = svc.name() + "/" + server.model().name;
-    auto it = serviceIpcCache_.find(key);
-    if (it != serviceIpcCache_.end())
-        return it->second;
-    const double ipc =
-        cpu::MicroarchModel::effectiveIpc(svc.def().profile, server.model());
-    serviceIpcCache_[key] = ipc;
-    return ipc;
-}
-
-rpc::ConnectionPool &
-App::poolFor(const void *caller, const Microservice &target)
-{
-    const PoolKey key{caller, &target};
-    auto it = pools_.find(key);
-    if (it == pools_.end()) {
-        const auto &proto = target.def().protocol;
-        it = pools_
-                 .emplace(key, std::make_unique<rpc::ConnectionPool>(
-                                   proto.connectionsPerPair,
-                                   proto.connectionBlocking,
-                                   poolBlocked_))
-                 .first;
-    }
-    return *it->second;
-}
-
-rpc::CircuitBreaker &
-App::breakerFor(const void *caller, const Microservice &target)
-{
-    const PoolKey key{caller, &target};
-    auto it = breakers_.find(key);
-    if (it == breakers_.end())
-        it = breakers_
-                 .emplace(key, std::make_unique<rpc::CircuitBreaker>(
-                                   target.def().resilience.breaker))
-                 .first;
-    return *it->second;
-}
-
-rpc::RetryBudget &
-App::budgetFor(const Microservice &target)
-{
-    auto it = budgets_.find(&target);
-    if (it == budgets_.end()) {
-        const rpc::RetryPolicy &r = target.def().resilience.retry;
-        it = budgets_
-                 .emplace(&target,
-                          rpc::RetryBudget(r.budgetRatio, r.budgetCap))
-                 .first;
-    }
-    return it->second;
-}
-
-void
-App::registerAttempt(Instance &inst, AttemptState *as)
-{
-    inflight_[&inst].push_back(as);
-}
-
-void
-App::unregisterAttempt(Instance &inst, AttemptState *as)
-{
-    auto it = inflight_.find(&inst);
-    if (it == inflight_.end())
-        return;
-    auto &v = it->second;
-    v.erase(std::remove(v.begin(), v.end(), as), v.end());
-    if (v.empty())
-        inflight_.erase(it);
-}
-
 void
 App::failInFlight(Instance &inst)
 {
-    auto it = inflight_.find(&inst);
-    if (it == inflight_.end())
-        return;
     // Settling unregisters, so detach the list first.
-    std::vector<AttemptState *> victims = std::move(it->second);
-    inflight_.erase(it);
+    std::vector<AttemptState *> victims = std::move(inst.inflight_);
+    inst.inflight_.clear();
     for (AttemptState *as : victims) {
         if (*as->settled)
             continue;
@@ -469,8 +404,7 @@ App::enablePartition(std::vector<App *> peers,
         ctx_.lookahead() > network_.config().wireLatency)
         fatal("enablePartition: engine lookahead exceeds the "
               "inter-shard wire latency");
-    for (unsigned i = 0; i < serviceOrder_.size(); ++i) {
-        Microservice *svc = serviceOrder_[i];
+    for (Microservice *svc : serviceOrder_) {
         auto it = homes.find(svc->name());
         if (it == homes.end())
             fatal(strCat("enablePartition: no home shard for tier '",
@@ -479,7 +413,6 @@ App::enablePartition(std::vector<App *> peers,
             fatal(strCat("enablePartition: tier '", svc->name(),
                          "' pinned to shard ", it->second, " of ",
                          ctx_.shardCount()));
-        svc->setOrderIndex(i);
         svc->setHomeShard(it->second);
     }
     peerApps_ = std::move(peers);
@@ -605,10 +538,7 @@ App::settleAttempt(AttemptState &as, RpcStatus status)
     *as.settled = true;
     as.timeoutEv.cancel();
     as.acquireEv.cancel();
-    if (as.registered && as.target) {
-        unregisterAttempt(*as.target, &as);
-        as.registered = false;
-    }
+    as.unregister();
     if (as.poolAcquired) {
         // Mirrors the legacy completion order: connection back first,
         // then the caller continues. A timed-out attempt models its
@@ -666,13 +596,6 @@ App::chargeNetwork(Microservice *svc, double cycles, double ipc)
         svc->chargeKernel(cycles, cycles * ipc);
 }
 
-const void *
-App::callerKey(const RpcCall &call) const
-{
-    return call.callerInst ? static_cast<const void *>(call.callerInst)
-                           : static_cast<const void *>(this);
-}
-
 void
 App::rpcCall(RpcCall call, RpcDone done)
 {
@@ -685,8 +608,7 @@ App::rpcCall(RpcCall call, RpcDone done)
         return;
     }
     rpc::CircuitBreaker *br =
-        pol.breaker.enabled ? &breakerFor(callerKey(call), *call.target)
-                            : nullptr;
+        pol.breaker.enabled ? &call.edge->breakerTo(*call.target) : nullptr;
     const RpcStatus gate = gateAttempt(*call.req, br);
     if (gate != RpcStatus::Ok) {
         // Only a refused first attempt records a span of its own; a
@@ -699,17 +621,19 @@ App::rpcCall(RpcCall call, RpcDone done)
     // The budget earns on first attempts only, so retry traffic is
     // capped at budgetRatio of the offered load.
     if (pol.retry.enabled() && pol.retry.budgetRatio > 0.0)
-        budgetFor(*call.target).onAttempt();
+        call.target->retryBudget().onAttempt();
     retryAttempt(std::move(call), br, 1, std::move(done));
 }
 
 void
 App::stageCall(const std::shared_ptr<HandlerCtx> &ctx, const Stage &stage,
-               Microservice &target, RpcDone done, data::RouteHint route)
+               Microservice &target, unsigned slot, RpcDone done,
+               data::RouteHint route)
 {
     rpcCall({.callerServer = ctx->inst->server().id(),
              .callerInst = ctx->inst,
              .target = &target,
+             .edge = &ctx->inst->edges_[slot],
              .req = ctx->req,
              .parentSpan = ctx->span.spanId,
              .reqBytes = stage.requestBytes,
@@ -762,7 +686,7 @@ App::retryAttempt(RpcCall call, rpc::CircuitBreaker *br, unsigned attempt_no,
         if (retry && call.req->deadline && now >= call.req->deadline)
             retry = false;
         if (retry && rp.budgetRatio > 0.0 &&
-            !budgetFor(*call.target).tryWithdraw()) {
+            !call.target->retryBudget().tryWithdraw()) {
             rpcRetryBudgetExhausted_->inc();
             retry = false;
         }
@@ -815,7 +739,7 @@ App::netLeg(cpu::Server &server, Microservice *svc,
                                       : proto.deserializeCost(payload));
     const double tcp_frac = static_cast<double>(tcp) /
                             static_cast<double>(std::max<Cycles>(1, cycles));
-    const double ipc = kernelIpc(server);
+    const double ipc = server.kernelIpc();
     chargeNetwork(svc, static_cast<double>(cycles), ipc);
     server.execute(cycles, ipc,
                    [req = std::move(req), as = std::move(as), tcp_frac,
@@ -868,7 +792,6 @@ App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
     const QueryType &qt = queryTypes_[call.req->queryType];
 
     auto as = std::make_shared<AttemptState>();
-    as->app = this;
     as->call = call;
     as->attemptNo = attempt_no;
     as->bytes.reqPayload =
@@ -878,7 +801,7 @@ App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
         call.respBytes ? call.respBytes : def.defaultResponseBytes;
     as->bytes.reqWire = def.protocol.wireSize(as->bytes.reqPayload);
     as->bytes.respWire = def.protocol.wireSize(as->bytes.respPayload);
-    as->pool = &poolFor(callerKey(call), *call.target);
+    as->pool = &call.edge->poolTo(*call.target, poolBlocked_);
     as->tStart = ctx_.now();
     as->done = std::move(done);
 
@@ -979,7 +902,7 @@ App::routeAttempt(const std::shared_ptr<AttemptState> &as)
     if (crashTracking_) {
         as->target = ti;
         as->registered = true;
-        registerAttempt(*ti, as.get());
+        ti->inflight_.push_back(as.get());
     }
 
     wireLeg(as->call.callerServer, ti->server().id(), as->bytes.reqWire, as,
@@ -1402,7 +1325,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         const double cpu_cycles = cycles * (1.0 - prof.ioBoundFraction);
         const double io_cycles = cycles - cpu_cycles;
         cpu::Server &server = ctx->inst->server();
-        const double ipc = serviceIpc(svc, server);
+        const double ipc = ctx->inst->ipc();
         // I/O waits do not consume the core and do not stretch when
         // frequency drops: convert at the *nominal* frequency.
         const double nominal_ghz = server.model().nominalFreqMhz / 1000.0;
@@ -1431,9 +1354,8 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
             next();
             return;
         }
-        Microservice &target = service(st.target);
         if (!st.parallel) {
-            callSequential(ctx, st, target, 0, std::move(next));
+            callSequential(ctx, st, 0, std::move(next));
             return;
         }
         // The branches join as one call: their caller-side network
@@ -1448,7 +1370,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
             std::make_shared<Join>(Join{st.fanout, 0, std::move(next)});
         const Tick call_start = ctx_.now();
         for (unsigned i = 0; i < st.fanout; ++i) {
-            stageCall(ctx, st, target,
+            stageCall(ctx, st, *st.callee, st.calleeSlot,
                       [this, ctx, join, call_start](RpcStatus status, Tick,
                                                     Tick caller_net) {
                 // A parallel fanout fails if any branch fails.
@@ -1480,7 +1402,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         return;
       }
       case Stage::Kind::Cache: {
-        Microservice *cache_tier = &service(st.target);
+        Microservice *cache_tier = st.callee;
         // Keyed mode: draw the accessed key and let hit/miss emerge
         // from the owning shard's bounded store. Legacy mode keeps
         // the fixed-probability coin flip — the same single RNG draw
@@ -1516,8 +1438,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                             keyspace_->sampleKey(rng_, ctx_.now()));
                     if (ctx->span.dataMisses != 255)
                         ++ctx->span.dataMisses;
-                    runTxnStage(ctx, &st, cache_tier, std::move(keys),
-                                std::move(next));
+                    runTxnStage(ctx, &st, std::move(keys), std::move(next));
                     return;
                 }
                 const Microservice::ReplicatedAccess acc =
@@ -1546,7 +1467,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         // fallthrough routes by the same key but touches no store.
         data::RouteHint cache_route = route;
         cache_route.storeAccess = remote_keyed;
-        stageCall(ctx, st, *cache_tier,
+        stageCall(ctx, st, *cache_tier, st.calleeSlot,
                   [this, ctx, stage = &st, hit, remote_keyed, quorum_delay,
                    route, next = std::move(next)](RpcStatus status, Tick wall,
                                                   Tick caller_net) mutable {
@@ -1574,16 +1495,15 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                 // through to the backing store when one exists
                 // (cache-aside pattern); without one the failure
                 // stands.
-                if ((h && status == RpcStatus::Ok) ||
-                    stage->dbTarget.empty()) {
+                if ((h && status == RpcStatus::Ok) || !stage->db) {
                     failSpan(ctx->span, status);
                     next();
                     return;
                 }
-                Microservice &db = service(stage->dbTarget);
+                Microservice &db = *stage->db;
                 // The backing store shards by the same key when it is
                 // ring-managed, so hot keys hammer one DB shard too.
-                stageCall(ctx, *stage, db,
+                stageCall(ctx, *stage, db, stage->dbSlot,
                           [ctx, next = std::move(next)](
                               RpcStatus status2, Tick wall2,
                               Tick caller_net2) mutable {
@@ -1610,30 +1530,29 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
 
 void
 App::callSequential(std::shared_ptr<HandlerCtx> ctx, const Stage &stage,
-                    Microservice &target, unsigned i,
-                    std::function<void()> next)
+                    unsigned i, std::function<void()> next)
 {
     if (i >= stage.fanout) {
         next();
         return;
     }
-    stageCall(ctx, stage, target,
-              [this, ctx, stage = &stage, target = &target, i,
+    stageCall(ctx, stage, *stage.callee, stage.calleeSlot,
+              [this, ctx, stage = &stage, i,
                next = std::move(next)](RpcStatus status, Tick wall,
                                        Tick caller_net) mutable {
         joinCall(ctx->span, status, wall, caller_net);
         if (status != RpcStatus::Ok)
             next(); // skip the remaining calls
         else
-            callSequential(ctx, *stage, *target, i + 1, std::move(next));
+            callSequential(ctx, *stage, i + 1, std::move(next));
     });
 }
 
 void
 App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
-                 Microservice *cache_tier, std::vector<std::uint64_t> keys,
-                 std::function<void()> next)
+                 std::vector<std::uint64_t> keys, std::function<void()> next)
 {
+    Microservice *cache_tier = stage->callee;
     if (rpcTxnStarted_)
         rpcTxnStarted_->inc();
 
@@ -1713,18 +1632,18 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
         if (app->rpcTxnCommits_)
             app->rpcTxnCommits_->inc();
         auto after = [app, ctx, stg, primary, next_shared]() {
-            if (stg->dbTarget.empty()) {
+            Microservice *db = stg->db;
+            if (!db) {
                 (*next_shared)();
                 return;
             }
             // Write-through: the transaction's primary key carries the
             // backing-store update, same as the single-key miss path.
-            Microservice *db = &app->service(stg->dbTarget);
             const data::RouteHint db_route =
                 db->keyedRouting()
                     ? data::RouteHint{primary, true, true}
                     : data::RouteHint{};
-            app->stageCall(ctx, *stg, *db,
+            app->stageCall(ctx, *stg, *db, stg->dbSlot,
                            [ctx, next_shared](RpcStatus status2, Tick wall2,
                                               Tick caller_net2) {
                 joinCall(ctx->span, status2, wall2, caller_net2);
@@ -1750,7 +1669,7 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
 
     for (std::size_t i = 0; i < group_keys.size(); ++i) {
         const data::RouteHint prep_route{group_keys[i], true, true};
-        stageCall(ctx, *stg, *cache_tier,
+        stageCall(ctx, *stg, *cache_tier, stg->calleeSlot,
                   [ctx, st, settle](RpcStatus status, Tick wall,
                                     Tick caller_net) {
             // A failed prepare aborts the transaction instead.
@@ -1767,10 +1686,9 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
 void
 App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
 {
-    if (!clientServer_)
-        fatal("App::inject without a client server");
-    if (queryTypes_.empty())
-        addQueryType(QueryType{});
+    if (!validated_)
+        fatal(strCat("app '", config_.name,
+                     "': inject() before validate() resolved the graph"));
     if (query_type >= queryTypes_.size())
         fatal(strCat("unknown query type ", query_type));
 
@@ -1788,7 +1706,8 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
 
     rpcCall({.callerServer = clientServer_->id(),
              .callerInst = nullptr,
-             .target = &service(entry_),
+             .target = entry_,
+             .edge = &clientEdge_,
              .req = req,
              .parentSpan = client_span_id,
              .reqBytes = config_.clientRequestBytes,

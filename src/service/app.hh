@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/histogram.hh"
@@ -227,24 +226,26 @@ class App
 
     /** Set the entry tier user requests hit first. */
     void setEntry(const std::string &name);
-    const std::string &entry() const { return entry_; }
+
+    /** Name of the entry tier (empty while unset). */
+    const std::string &entry() const;
 
     /** Register a query type; returns its index. */
     unsigned addQueryType(QueryType qt);
     const std::vector<QueryType> &queryTypes() const { return queryTypes_; }
 
-    /** Place one more instance of @p service on @p server. */
-    Instance &addInstance(const std::string &service, cpu::Server &server);
-
     /** The server end-user requests originate from. */
     void setClientServer(cpu::Server &server);
 
     /**
-     * Check the graph: entry set, every call target exists, every
-     * service has at least one instance, no service calls itself.
-     * Fatal on violation.
+     * Check the graph (entry set, every call target exists, every
+     * service has an instance, none calls itself; fatal otherwise),
+     * resolve every stage's tiers and edge slots, and register the
+     * default query type if none exists. Required before inject() and
+     * after any later edit to the graph or a stage target; never while
+     * requests are in flight, which hold stages and edges by address.
      */
-    void validate() const;
+    void validate();
 
     /** Graphviz DOT rendering of the dependency graph (Figs 4-8). */
     std::string exportDot() const;
@@ -254,6 +255,7 @@ class App
     /**
      * Inject one end-to-end request of @p query_type for @p user_id.
      * @p done (optional) fires on completion with the full accounting.
+     * Fatal unless the graph has been validated since it last changed.
      */
     void inject(unsigned query_type, std::uint64_t user_id,
                 CompletionFn done = {});
@@ -447,37 +449,8 @@ class App
     void statReset();
 
   private:
-    /** The attempt state (app.cc) unregisters itself on destruction. */
+    /** The attempt state (app.cc) carries its call. */
     friend struct AttemptState;
-
-    /** Per-(caller-instance, callee) connection pool key. */
-    using PoolKey = std::pair<const void *, const Microservice *>;
-
-    struct PoolKeyHash
-    {
-        std::size_t
-        operator()(const PoolKey &k) const
-        {
-            return std::hash<const void *>{}(k.first) ^
-                   (std::hash<const void *>{}(k.second) << 1);
-        }
-    };
-
-    /** Effective kernel-code IPC on @p server (cached per model). */
-    double kernelIpc(const cpu::Server &server);
-
-    /** Per-service effective IPC on @p server (cached). */
-    double serviceIpc(const Microservice &svc, const cpu::Server &server);
-
-    rpc::ConnectionPool &poolFor(const void *caller,
-                                 const Microservice &target);
-
-    /** Per-(caller, callee) circuit breaker, created on first use. */
-    rpc::CircuitBreaker &breakerFor(const void *caller,
-                                    const Microservice &target);
-
-    /** Per-callee retry budget, created on first use. */
-    rpc::RetryBudget &budgetFor(const Microservice &target);
 
     /**
      * One RPC as its caller issued it: who calls which tier for which
@@ -489,6 +462,8 @@ class App
         /** Calling instance; null for the end-user client. */
         Instance *callerInst = nullptr;
         Microservice *target = nullptr;
+        /** The caller's edge to the target (pool and breaker). */
+        Edge *edge = nullptr;
         RequestPtr req;
         trace::SpanId parentSpan = 0;
         /** Payload overrides (0 = the target's defaults). */
@@ -502,9 +477,6 @@ class App
     /** Which way a kernel network leg moves a message. */
     enum class LegDir { Send, Receive };
 
-    /** Caller identity keying pools and breakers (this app = client). */
-    const void *callerKey(const RpcCall &call) const;
-
     /**
      * Issue one RPC, applying the target's resilience policy (deadline
      * check, breaker gate, retry loop around rpcAttempt). With an
@@ -514,10 +486,10 @@ class App
      */
     void rpcCall(RpcCall call, RpcDone done);
 
-    /** Issue @p stage's RPC to @p target from the handler in @p ctx. */
+    /** Issue @p stage's RPC to @p target over the caller's edge @p slot. */
     void stageCall(const std::shared_ptr<HandlerCtx> &ctx,
-                   const Stage &stage, Microservice &target, RpcDone done,
-                   data::RouteHint route = {});
+                   const Stage &stage, Microservice &target, unsigned slot,
+                   RpcDone done, data::RouteHint route = {});
 
     /**
      * Attempt @p attempt_no of a resilient call; after a retryable
@@ -602,12 +574,7 @@ class App
                          const Microservice &target, Tick start,
                          unsigned attempt_no, RpcStatus status);
 
-    // -- Crash bookkeeping (active only with crash tracking on) ---------
-
-    void registerAttempt(Instance &inst, AttemptState *as);
-    void unregisterAttempt(Instance &inst, AttemptState *as);
-
-    /** Fail every tracked in-flight attempt against @p inst. */
+    /** Fail every tracked in-flight attempt (crash tracking only). */
     void failInFlight(Instance &inst);
 
     /** Arrival at the chosen instance after receive processing. */
@@ -638,8 +605,7 @@ class App
      * first failure skips the rest and continues with @p next.
      */
     void callSequential(std::shared_ptr<HandlerCtx> ctx, const Stage &stage,
-                        Microservice &target, unsigned i,
-                        std::function<void()> next);
+                        unsigned i, std::function<void()> next);
 
     /**
      * Drive one 2PC multi-partition transaction from a write-tagged
@@ -648,7 +614,6 @@ class App
      * wait out the slowest quorum ack) or mark the handler TxnAborted.
      */
     void runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
-                     Microservice *cache_tier,
                      std::vector<std::uint64_t> keys,
                      std::function<void()> next);
 
@@ -672,19 +637,13 @@ class App
 
     std::map<std::string, std::unique_ptr<Microservice>> services_;
     std::vector<Microservice *> serviceOrder_;
-    std::string entry_;
+    Microservice *entry_ = nullptr;
     std::vector<QueryType> queryTypes_;
     cpu::Server *clientServer_ = nullptr;
-
-    std::unordered_map<PoolKey, std::unique_ptr<rpc::ConnectionPool>,
-                       PoolKeyHash>
-        pools_;
-    std::unordered_map<PoolKey, std::unique_ptr<rpc::CircuitBreaker>,
-                       PoolKeyHash>
-        breakers_;
-    std::unordered_map<const Microservice *, rpc::RetryBudget> budgets_;
-    std::unordered_map<std::string, double> kernelIpcCache_;
-    std::unordered_map<std::string, double> serviceIpcCache_;
+    /** The end-user client's edge to the entry tier. */
+    Edge clientEdge_;
+    /** validate() has run since the graph last changed. */
+    bool validated_ = false;
 
     /** Key universe of the stateful data tier (keyed mode only). */
     std::unique_ptr<data::Keyspace> keyspace_;
@@ -702,9 +661,6 @@ class App
     /** Replica groups armed (enableReplication called). */
     bool replicationEnabled_ = false;
     replica::ReplicationConfig replicationConfig_;
-    /** In-flight attempts per target instance (crash tracking only). */
-    std::unordered_map<const Instance *, std::vector<AttemptState *>>
-        inflight_;
 
     MetricsRegistry metrics_;
     trace::TraceStore traceStore_;

@@ -21,6 +21,8 @@
 
 namespace uqsim::service {
 
+class Microservice;
+
 /**
  * One step of a handler program.
  */
@@ -88,6 +90,15 @@ struct Stage
 
     /** If non-empty, run only for query types carrying this tag. */
     std::string onlyForTag;
+
+    // -- Resolved by App::validate() --------------------------------------
+    /** The target and dbTarget tiers (db null without a dbTarget). */
+    Microservice *callee = nullptr;
+    Microservice *db = nullptr;
+
+    /** Their slots in the caller's callees() and instance edges. */
+    unsigned calleeSlot = 0;
+    unsigned dbSlot = 0;
 };
 
 /**

@@ -23,8 +23,31 @@ serviceKindName(ServiceKind kind)
     return "unknown";
 }
 
+rpc::ConnectionPool &
+Edge::poolTo(const Microservice &callee, Counter *blocked)
+{
+    if (!pool) {
+        const rpc::ProtocolModel &proto = callee.def().protocol;
+        pool = std::make_unique<rpc::ConnectionPool>(
+            proto.connectionsPerPair, proto.connectionBlocking, blocked);
+    }
+    return *pool;
+}
+
+rpc::CircuitBreaker &
+Edge::breakerTo(const Microservice &callee)
+{
+    if (!breaker)
+        breaker = std::make_unique<rpc::CircuitBreaker>(
+            callee.def().resilience.breaker);
+    return *breaker;
+}
+
 Instance::Instance(Microservice &svc, unsigned idx, cpu::Server &server)
     : svc_(svc), idx_(idx), server_(server),
+      ipc_(cpu::MicroarchModel::effectiveIpc(svc.def().profile,
+                                             server.model())),
+      edges_(svc.callees().size()),
       freeThreads_(svc.def().threadsPerInstance)
 {}
 
@@ -53,6 +76,16 @@ Microservice::Microservice(App &app, ServiceDef def)
     if (def_.threadsPerInstance == 0)
         fatal(strCat("service '", def_.name, "' with zero threads"));
     traceServiceId_ = app.traceStore().intern(def_.name);
+}
+
+rpc::RetryBudget &
+Microservice::retryBudget()
+{
+    if (!retryBudget_) {
+        const rpc::RetryPolicy &r = def_.resilience.retry;
+        retryBudget_.emplace(r.budgetRatio, r.budgetCap);
+    }
+    return *retryBudget_;
 }
 
 Instance &

@@ -15,6 +15,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "replica/replication.hh"
 #include "cpu/microarch.hh"
 #include "cpu/server.hh"
+#include "rpc/connection_pool.hh"
 #include "rpc/protocol.hh"
 #include "rpc/resilience.hh"
 #include "service/admission.hh"
@@ -38,6 +40,7 @@ namespace uqsim::service {
 
 class App;
 class Microservice;
+struct AttemptState;
 struct HandlerCtx;
 
 /** Deployment/statefulness class of a tier. */
@@ -110,6 +113,24 @@ struct ServiceDef
 };
 
 /**
+ * One caller's link to one callee tier: the connection pool and circuit
+ * breaker its RPCs there share, each created on first use from the
+ * callee's protocol and policy in force at that moment.
+ */
+struct Edge
+{
+    std::unique_ptr<rpc::ConnectionPool> pool;
+    std::unique_ptr<rpc::CircuitBreaker> breaker;
+
+    /** The pool to @p callee; blocked acquires count in @p blocked. */
+    rpc::ConnectionPool &poolTo(const Microservice &callee,
+                                Counter *blocked);
+
+    /** The breaker guarding calls to @p callee. */
+    rpc::CircuitBreaker &breakerTo(const Microservice &callee);
+};
+
+/**
  * One running copy of a microservice on a server.
  */
 class Instance
@@ -127,6 +148,9 @@ class Instance
     /** Hosting server. */
     cpu::Server &server() { return server_; }
     const cpu::Server &server() const { return server_; }
+
+    /** The tier's effective IPC on this server (set at construction). */
+    double ipc() const { return ipc_; }
 
     /**
      * Whether the instance accepts new requests (autoscaled instances
@@ -180,6 +204,7 @@ class Instance
   private:
     friend class App;
     friend class Microservice;
+    friend struct AttemptState;
 
     /** A request parked in the instance queue. */
     struct Arrival
@@ -205,7 +230,14 @@ class Instance
     Microservice &svc_;
     unsigned idx_;
     cpu::Server &server_;
+    double ipc_;
     bool active_ = true;
+
+    /** This instance's edges, indexed like svc_.callees(). */
+    std::vector<Edge> edges_;
+
+    /** In-flight RPC attempts against this instance (crash tracking). */
+    std::vector<AttemptState *> inflight_;
 
     unsigned freeThreads_;
     std::deque<Arrival> queue_;
@@ -237,6 +269,11 @@ class Microservice
 
     const std::string &name() const { return def_.name; }
     const ServiceDef &def() const { return def_; }
+
+    /**
+     * Editable definition. Edits to stage targets (or added stages)
+     * take effect at the next App::validate().
+     */
     ServiceDef &mutableDef() { return def_; }
     App &app() { return app_; }
 
@@ -255,6 +292,15 @@ class Microservice
     {
         return instances_;
     }
+
+    /** Distinct tiers the handler calls (App::validate()); slot order. */
+    const std::vector<Microservice *> &callees() const { return callees_; }
+
+    /**
+     * Retry budget shared by every caller of this tier, created on
+     * first use from the retry policy in force at that moment.
+     */
+    rpc::RetryBudget &retryBudget();
 
     /** Number of *active* instances. */
     unsigned activeInstances() const;
@@ -383,12 +429,11 @@ class Microservice
     unsigned homeShard() const { return homeShard_; }
 
     /**
-     * Position of this tier in the app's service insertion order —
-     * the tier's identity in cross-shard call marshalling (every
-     * shard builds the identical graph, so the index resolves to the
-     * same tier everywhere).
+     * Position of this tier in the app's service insertion order, set
+     * by App::addService — the tier's identity in cross-shard call
+     * marshalling (every shard builds the identical graph, so the
+     * index resolves to the same tier everywhere).
      */
-    void setOrderIndex(unsigned index) { orderIndex_ = index; }
     unsigned orderIndex() const { return orderIndex_; }
 
     /**
@@ -437,10 +482,14 @@ class Microservice
     double libInstr() const { return libInstr_; }
 
   private:
+    friend class App;
+
     App &app_;
     ServiceDef def_;
     trace::ServiceId traceServiceId_ = trace::kNoService;
     std::vector<std::unique_ptr<Instance>> instances_;
+    std::vector<Microservice *> callees_;
+    std::optional<rpc::RetryBudget> retryBudget_;
     std::size_t rrCursor_ = 0;
     bool misrouted_ = false;
     unsigned homeShard_ = 0;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.hh"
@@ -152,7 +153,7 @@ struct QueryType
 
     /** @return true if @p tag is in this query's tag set. */
     bool
-    hasTag(const std::string &tag) const
+    hasTag(std::string_view tag) const
     {
         for (const auto &t : tags)
             if (t == tag)

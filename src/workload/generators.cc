@@ -210,8 +210,6 @@ QueryMix::fromApp(const service::App &app)
     std::vector<double> weights;
     for (const auto &qt : app.queryTypes())
         weights.push_back(qt.weight);
-    if (weights.empty())
-        weights.push_back(1.0);
     return QueryMix(std::move(weights));
 }
 

@@ -222,7 +222,10 @@ double flashMultiplierAt(Tick t, Tick at, Tick ramp, double mult,
 class QueryMix
 {
   public:
-    /** Uniform over the app's registered query types. */
+    /**
+     * The app's registered query types, by weight. A validated app
+     * always has at least one (App::validate() adds the default).
+     */
     static QueryMix fromApp(const service::App &app);
 
     /** Explicit weights (normalized internally). */

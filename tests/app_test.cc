@@ -163,6 +163,7 @@ TEST_F(AppTest, TracingOffKeepsStoreEmpty)
     w2.app->addService(std::move(front)).addInstance(w2.worker(0));
     w2.app->setEntry("front");
     w2.app->addQueryType({"q", 1.0, 1.0, 0, {}});
+    w2.app->validate();
     w2.app->inject(0, 1);
     w2.ctx.run();
     EXPECT_EQ(w2.app->traceStore().size(), 0u);
@@ -428,6 +429,17 @@ TEST_F(AppTest, ValidateCatchesSelfCall)
     app.addService(std::move(front)).addInstance(world_.worker(0));
     app.setEntry("front");
     EXPECT_DEATH(app.validate(), "itself");
+}
+
+TEST_F(AppTest, InjectBeforeValidateIsFatal)
+{
+    App &app = *world_.app;
+    ServiceDef front;
+    front.name = "front";
+    front.handler.compute(Dist::constant(1000.0));
+    app.addService(std::move(front)).addInstance(world_.worker(0));
+    app.setEntry("front");
+    EXPECT_DEATH(app.inject(0, 7), "inject\\(\\) before validate\\(\\)");
 }
 
 TEST_F(AppTest, DuplicateServiceNameFatal)

@@ -90,6 +90,32 @@ TEST(LambdaPlatformTest, ApplyAddsStoreAndRewritesHandlers)
     EXPECT_NE(front[1].kind, service::Stage::Kind::Call);
 }
 
+TEST(LambdaPlatformTest, RewrittenCallsResolveToTheirTargets)
+{
+    // The rewrite runs after the builder validated the app: every call
+    // stage it appends or moves must still name its tier by pointer.
+    apps::World w(smallConfig());
+    buildTwoTier(w);
+    LambdaConfig cfg;
+    LambdaPlatform::applyToApp(*w.app, cfg, w.cluster);
+    const service::Microservice &store = w.app->service(cfg.storeName);
+    unsigned store_calls = 0;
+    for (const service::Microservice *svc : w.app->services()) {
+        for (const service::Stage &st : svc->def().handler.stages) {
+            if (st.kind != service::Stage::Kind::Call)
+                continue;
+            EXPECT_EQ(st.callee, &w.app->service(st.target))
+                << svc->name() << " -> " << st.target;
+            ASSERT_LT(st.calleeSlot, svc->callees().size());
+            EXPECT_EQ(svc->callees()[st.calleeSlot], st.callee);
+            if (st.callee == &store)
+                ++store_calls;
+        }
+    }
+    // front writes its output; leaf reads its input and writes output.
+    EXPECT_EQ(store_calls, 3u);
+}
+
 TEST(LambdaPlatformTest, ApplyIsIdempotent)
 {
     apps::World w(smallConfig());
