@@ -1,7 +1,6 @@
 #include "apps/scenario.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <limits>
 #include <string_view>
 
@@ -192,21 +191,6 @@ storeInteger(Scenario &s, const ScenarioField &f, std::uint64_t v)
         s.*f.uns = static_cast<unsigned>(v);
     else
         s.*f.u64 = v;
-}
-
-/** Strict whole-string decimal parse: no sign, no blanks. */
-bool
-parseU64Text(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    try {
-        std::size_t consumed = 0;
-        out = std::stoull(text, &consumed);
-        return consumed == text.size();
-    } catch (...) {
-        return false;
-    }
 }
 
 /**
@@ -523,21 +507,15 @@ applyScenarioFlag(Scenario &s, const ScenarioField &f,
 {
     switch (f.kind) {
       case FieldKind::Number:
-        try {
-            std::size_t consumed = 0;
-            const double v = std::stod(text, &consumed);
-            if (consumed == text.size()) {
-                s.*f.number = v;
-                return true;
-            }
-        } catch (...) {
+        if (!fault::parseFinite(text, s.*f.number)) {
+            error = strCat("bad number '", text, "' for ", f.flag);
+            return false;
         }
-        error = strCat("bad number '", text, "' for ", f.flag);
-        return false;
+        return true;
       case FieldKind::Unsigned:
       case FieldKind::U64: {
         std::uint64_t v = 0;
-        if (!parseU64Text(text, v)) {
+        if (!fault::parseUnsigned(text, v)) {
             error = strCat("bad non-negative integer '", text, "' for ",
                            f.flag);
             return false;
@@ -574,16 +552,14 @@ applyScenarioFlag(Scenario &s, const ScenarioField &f,
         return true;
       case FieldKind::Pin: {
         const std::size_t eq = text.find('=');
-        std::uint64_t shard = 0;
+        unsigned shard = 0;
         if (eq == std::string::npos || eq == 0 ||
-            !parseU64Text(text.substr(eq + 1), shard) ||
-            shard > kMaxUnsigned) {
+            !fault::parseUnsigned(text.substr(eq + 1), shard)) {
             error = strCat("bad pin '", text, "' for ", f.flag,
                            " (want TIER=SHARD, e.g. user-db=1)");
             return false;
         }
-        s.pins.push_back({text.substr(0, eq),
-                          static_cast<unsigned>(shard)});
+        s.pins.push_back({text.substr(0, eq), shard});
         return true;
       }
       case FieldKind::Faults: {

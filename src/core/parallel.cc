@@ -1,6 +1,8 @@
 #include "core/parallel.hh"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 
 #include "core/logging.hh"
 
@@ -30,7 +32,9 @@ mix64(std::uint64_t x)
 ParallelSimulator::ParallelSimulator() : ParallelSimulator(Config{}) {}
 
 ParallelSimulator::ParallelSimulator(Config config)
-    : lookahead_(config.lookahead)
+    : lookahead_(config.lookahead),
+      nthreads_(std::max(1u, std::min(config.threads, config.shards))),
+      barrier_(nthreads_)
 {
     if (config.shards == 0)
         panic("ParallelSimulator with zero shards");
@@ -38,30 +42,21 @@ ParallelSimulator::ParallelSimulator(Config config)
         panic("ParallelSimulator with zero lookahead (cross-shard "
               "events would never be safe to buffer)");
     shards_.reserve(config.shards);
-    mail_.reserve(config.shards);
-    for (unsigned i = 0; i < config.shards; ++i) {
+    for (unsigned i = 0; i < config.shards; ++i)
         shards_.push_back(std::make_unique<Shard>());
-        mail_.push_back(std::make_unique<Mailbox>());
-    }
-    nthreads_ = std::max(1u, std::min(config.threads, config.shards));
-    if (nthreads_ > 1) {
-        workers_.reserve(nthreads_);
-        for (unsigned i = 0; i < nthreads_; ++i)
-            workers_.emplace_back([this, i]() { workerLoop(i); });
-    }
+    workers_.reserve(nthreads_ - 1);
+    for (unsigned t = 1; t < nthreads_; ++t)
+        workers_.emplace_back([this, t]() { workerLoop(t); });
 }
 
 ParallelSimulator::~ParallelSimulator()
 {
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            shutdown_ = true;
-        }
-        cvStart_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
-    }
+    // Workers wait at a round's start; this arrival releases them into
+    // the shutdown check instead.
+    shutdown_ = true;
+    barrier_.arrive_and_wait();
+    for (std::thread &t : workers_)
+        t.join();
 }
 
 SimContext
@@ -103,45 +98,37 @@ ParallelSimulator::postToShard(unsigned src, unsigned dst, Tick when,
         panic(strCat("cross-shard event from shard ", src, " (now=",
                      from.now, ") to shard ", dst, " at when=", when,
                      " violates lookahead ", lookahead_));
-    Mailbox &box = *mail_[dst];
-    std::lock_guard<std::mutex> lock(box.mu);
-    box.msgs.push_back(Mail{when, src, from.mailSeq++, std::move(cb)});
-    box.maybeNonEmpty = true;
+    // Only the thread running shard `src` posts from it (the same rule
+    // mailSeq relies on), so the sender's own outbox needs no lock.
+    from.outbox.push_back(Mail{dst, src, when, from.mailSeq++,
+                               std::move(cb)});
 }
 
 void
 ParallelSimulator::deliverMail()
 {
-    for (unsigned dst = 0; dst < shards_.size(); ++dst) {
-        Mailbox &box = *mail_[dst];
-        if (!box.maybeNonEmpty)
-            continue;
-        std::vector<Mail> msgs;
-        {
-            std::lock_guard<std::mutex> lock(box.mu);
-            msgs.swap(box.msgs);
-            box.maybeNonEmpty = false;
-        }
-        // (when, src, seq) is a total order: seq is unique per source.
-        // Sorting makes the merge independent of the interleaving in
-        // which worker threads appended to the mailbox.
-        std::sort(msgs.begin(), msgs.end(),
-                  [](const Mail &a, const Mail &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.src != b.src)
-                          return a.src < b.src;
-                      return a.seq < b.seq;
-                  });
-        Shard &s = *shards_[dst];
-        for (Mail &m : msgs) {
-            if (m.when < s.now)
-                panic(strCat("mailbox delivery at when=", m.when,
-                             " behind shard ", dst, " clock now=",
-                             s.now, " (lookahead too small?)"));
-            s.queue.schedule(m.when, std::move(m.cb));
-        }
+    for (auto &s : shards_) {
+        std::move(s->outbox.begin(), s->outbox.end(),
+                  std::back_inserter(merge_));
+        s->outbox.clear();
     }
+    // (when, src, seq) is a total order per destination: seq is unique
+    // per source. Each destination's queue thus receives its mail in
+    // the same order whatever thread ran which sender.
+    std::sort(merge_.begin(), merge_.end(),
+              [](const Mail &a, const Mail &b) {
+                  return std::tie(a.dst, a.when, a.src, a.seq) <
+                         std::tie(b.dst, b.when, b.src, b.seq);
+              });
+    for (Mail &m : merge_) {
+        Shard &s = *shards_[m.dst];
+        if (m.when < s.now)
+            panic(strCat("mailbox delivery at when=", m.when,
+                         " behind shard ", m.dst, " clock now=", s.now,
+                         " (lookahead too small?)"));
+        s.queue.schedule(m.when, std::move(m.cb));
+    }
+    merge_.clear();
 }
 
 void
@@ -209,48 +196,31 @@ ParallelSimulator::runShard(Shard &s, Tick horizon)
 void
 ParallelSimulator::runRound(Tick horizon)
 {
-    if (nthreads_ <= 1) {
-        for (auto &s : shards_)
-            runShard(*s, horizon);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        roundHorizon_ = horizon;
-        pendingWorkers_ = nthreads_;
-        ++generation_;
-    }
-    cvStart_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cvDone_.wait(lock, [this]() { return pendingWorkers_ == 0; });
+    roundHorizon_ = horizon;
+    barrier_.arrive_and_wait();
+    runShards(0);
+    barrier_.arrive_and_wait();
 }
 
 void
-ParallelSimulator::workerLoop(unsigned index)
+ParallelSimulator::runShards(unsigned thread)
 {
-    std::uint64_t seen = 0;
+    // Static shard-to-thread assignment: shard s runs on thread
+    // s % nthreads_, every round, so per-shard execution is
+    // sequential across rounds as well as within one.
+    for (unsigned s = thread; s < shards_.size(); s += nthreads_)
+        runShard(*shards_[s], roundHorizon_);
+}
+
+void
+ParallelSimulator::workerLoop(unsigned thread)
+{
     while (true) {
-        Tick horizon;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cvStart_.wait(lock, [this, seen]() {
-                return shutdown_ || generation_ != seen;
-            });
-            if (shutdown_)
-                return;
-            seen = generation_;
-            horizon = roundHorizon_;
-        }
-        // Static shard-to-worker assignment: shard s runs on worker
-        // s % nthreads_, every round, so per-shard execution is
-        // sequential across rounds as well as within one.
-        for (unsigned s = index; s < shards_.size(); s += nthreads_)
-            runShard(*shards_[s], horizon);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (--pendingWorkers_ == 0)
-                cvDone_.notify_all();
-        }
+        barrier_.arrive_and_wait();
+        if (shutdown_)
+            return;
+        runShards(thread);
+        barrier_.arrive_and_wait();
     }
 }
 

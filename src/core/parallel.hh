@@ -24,9 +24,9 @@
  * safe: nothing sent during the round can land inside it. With one
  * shard (lookahead kMaxTick) a run is one round over the whole queue.
  *
- * Determinism is by construction, independent of the worker-thread
- * count: shard execution is sequential, rounds are a pure function of
- * simulation state, and mailbox merges are sorted. Per-shard FNV-1a
+ * Determinism is by construction, independent of the thread count:
+ * shard execution is sequential, rounds are a pure function of
+ * simulation state, and mail merges are sorted. Per-shard FNV-1a
  * digests compose into a run digest that is order-sensitive within a
  * shard and order-insensitive (commutative) across shards; with one
  * shard the composed digest is that shard's own. See docs/PARALLEL.md.
@@ -35,11 +35,10 @@
 #ifndef UQSIM_CORE_PARALLEL_HH
 #define UQSIM_CORE_PARALLEL_HH
 
-#include <condition_variable>
+#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -69,9 +68,11 @@ class ParallelSimulator
         Tick lookahead = kMaxTick;
 
         /**
-         * Worker threads executing shard rounds (capped to the shard
-         * count). 1 runs rounds inline on the driving thread. The
-         * execution digest does not depend on this value.
+         * Threads executing shard rounds, counting the driving thread
+         * (capped to the shard count). Thread t runs shards t,
+         * t + threads, ...; the driver is thread 0, so 1 runs every
+         * shard on the driver. The execution digest does not depend
+         * on this value.
          */
         unsigned threads = 1;
     };
@@ -92,7 +93,7 @@ class ParallelSimulator
         return static_cast<unsigned>(shards_.size());
     }
 
-    /** Worker threads actually running rounds. */
+    /** Threads actually running rounds, the driver included. */
     unsigned threads() const { return nthreads_; }
 
     Tick lookahead() const { return lookahead_; }
@@ -117,13 +118,13 @@ class ParallelSimulator
      * fire in registration order at equal ticks. The conservative
      * protocol guarantees no later mail can land below a fired
      * boundary, so the lazily-fired sample equals an eagerly-fired one
-     * and does not depend on the worker-thread count. Register before
+     * and does not depend on the thread count. Register before
      * driving the engine; zero intervals are an internal error.
      */
     void addClockObserver(unsigned shard, Tick interval,
                           ClockObserverFn fn);
 
-    /** Run until every queue and mailbox drains. */
+    /** Run until every queue and outbox drains. */
     void run();
 
     /**
@@ -168,7 +169,7 @@ class ParallelSimulator
      * The composed run digest. One shard: that shard's FNV-1a digest
      * verbatim. N shards: a commutative mix of the per-shard digests,
      * so the value is independent of cross-shard execution
-     * interleaving — and thus of the worker-thread count — while
+     * interleaving — and thus of the thread count — while
      * remaining order-sensitive within each shard.
      */
     std::uint64_t executionDigest() const;
@@ -187,35 +188,30 @@ class ParallelSimulator
         ClockObserverFn fn;
     };
 
-    /** One shard: queue + clock + outbound mail sequence. */
+    /** One buffered cross-shard event. */
+    struct Mail
+    {
+        unsigned dst = 0;
+        unsigned src = 0;
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        EventCallback cb;
+    };
+
+    /** One shard: queue + clock + outbound mail. */
     struct Shard
     {
         EventQueue queue;
         Tick now = 0;
         /** Sequence of cross-shard sends originating here. */
         std::uint64_t mailSeq = 0;
+        /** This round's cross-shard sends; only this shard's thread
+         *  appends, so no lock is needed. */
+        std::vector<Mail> outbox;
         /** Periodic sampling callbacks (empty on the common path). */
         std::vector<ClockObserver> observers;
         /** Earliest pending boundary (kMaxTick while none). */
         Tick nextBoundary = kMaxTick;
-    };
-
-    /** One buffered cross-shard event. */
-    struct Mail
-    {
-        Tick when = 0;
-        unsigned src = 0;
-        std::uint64_t seq = 0;
-        EventCallback cb;
-    };
-
-    /** Per-destination mailbox (locked by concurrent senders). */
-    struct Mailbox
-    {
-        std::mutex mu;
-        std::vector<Mail> msgs;
-        /** Lock-free emptiness hint for the control loop. */
-        bool maybeNonEmpty = false;
     };
 
     /** Buffer a cross-shard event (called via SimContext). */
@@ -223,8 +219,8 @@ class ParallelSimulator
                      EventCallback cb);
 
     /**
-     * Merge all pending mail into destination queues, sorted by
-     * (when, src, seq). Runs between rounds (no workers active).
+     * Merge every outbox into the destination queues, sorted by
+     * (dst, when, src, seq). Runs on the driver between rounds.
      */
     void deliverMail();
 
@@ -241,29 +237,34 @@ class ParallelSimulator
      */
     void drain(Tick deadline);
 
-    /** Execute one round: every shard runs events with time <= horizon. */
+    /**
+     * Execute one round: every shard runs events with time <= horizon.
+     * The driver runs thread 0's shards between two barrier phases.
+     */
     void runRound(Tick horizon);
+
+    /** Run thread @p thread's shards up to the round horizon. */
+    void runShards(unsigned thread);
 
     /** Sequentially run shard @p s up to @p horizon (inclusive). */
     void runShard(Shard &s, Tick horizon);
 
-    /** Worker-pool body for worker @p index. */
-    void workerLoop(unsigned index);
+    /** Body of worker thread @p thread (1 .. threads - 1). */
+    void workerLoop(unsigned thread);
 
     std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::unique_ptr<Mailbox>> mail_;
     Tick lookahead_ = kMaxTick;
+    /** deliverMail()'s merge buffer, kept to reuse its capacity. */
+    std::vector<Mail> merge_;
 
-    // -- Worker pool (nthreads_ > 1 only) ------------------------------
+    // -- Round threads: the driver plus threads - 1 workers ------------
     unsigned nthreads_ = 1;
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cvStart_;
-    std::condition_variable cvDone_;
-    std::uint64_t generation_ = 0;
-    unsigned pendingWorkers_ = 0;
+    /** Every thread arrives as a round starts and as it ends; each
+     *  phase publishes roundHorizon_, shutdown_ and the shards' state. */
+    std::barrier<> barrier_;
     Tick roundHorizon_ = 0;
     bool shutdown_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace uqsim

@@ -13,10 +13,10 @@
  * unchanged.
  *
  * Cross-shard communication goes through postToShard(), which enforces
- * the conservative lookahead and delivers through the engine's
- * mailboxes at the next synchronization barrier. Scheduling and clock
- * reads are shard-local and wait-free; only postToShard() to a
- * *different* shard takes a (per-destination) lock. See
+ * the conservative lookahead, appends to the sending shard's outbox
+ * and is delivered at the next synchronization barrier. Scheduling,
+ * clock reads and posts are shard-local and take no lock, so only
+ * event code running on this handle's shard may post through it. See
  * docs/PARALLEL.md.
  */
 
@@ -80,10 +80,9 @@ class SimContext
      * Same-shard posts degrade to schedule(). Cross-shard posts
      * require `delay >= lookahead()` (the conservative synchronization
      * window); violating it is an internal error. Cross-shard events
-     * are buffered in the engine's mailbox for @p dst and merged into
-     * its queue at the next barrier in deterministic (when, source
-     * shard, source sequence) order, so no cancellation handle is
-     * returned.
+     * are buffered in this shard's outbox and merged into @p dst's
+     * queue at the next barrier in deterministic (when, source shard,
+     * source sequence) order, so no cancellation handle is returned.
      */
     void postToShard(unsigned dst, Tick delay, EventCallback cb);
 

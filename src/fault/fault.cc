@@ -1,6 +1,7 @@
 #include "fault/fault.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 
@@ -92,17 +93,9 @@ parseDuration(const std::string &text, Tick &out)
            (std::isdigit(static_cast<unsigned char>(text[i])) ||
             text[i] == '.'))
         ++i;
-    if (i == 0)
-        return false;
     double value = 0.0;
-    try {
-        std::size_t consumed = 0;
-        value = std::stod(text.substr(0, i), &consumed);
-        if (consumed != i)
-            return false;
-    } catch (...) {
+    if (i == 0 || !parseFinite(text.substr(0, i), value))
         return false;
-    }
     const std::string unit = text.substr(i);
     double scale;
     if (unit.empty() || unit == "ms")
@@ -115,40 +108,24 @@ parseDuration(const std::string &text, Tick &out)
         scale = static_cast<double>(kTicksPerSec);
     else
         return false;
-    if (value < 0.0)
+    // Casting 2^64 or more to Tick is undefined: reject, don't wrap.
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    const double ticks = value * scale;
+    if (ticks >= kTwoTo64)
         return false;
-    out = static_cast<Tick>(value * scale);
+    out = static_cast<Tick>(ticks);
     return true;
 }
 
-namespace {
-
 bool
-parseUnsigned(const std::string &text, unsigned &out)
-{
-    if (text.empty())
-        return false;
-    try {
-        std::size_t consumed = 0;
-        const unsigned long v = std::stoul(text, &consumed);
-        if (consumed != text.size())
-            return false;
-        out = static_cast<unsigned>(v);
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseDouble(const std::string &text, double &out)
+parseFinite(const std::string &text, double &out)
 {
     if (text.empty())
         return false;
     try {
         std::size_t consumed = 0;
         const double v = std::stod(text, &consumed);
-        if (consumed != text.size())
+        if (consumed != text.size() || !std::isfinite(v))
             return false;
         out = v;
         return true;
@@ -156,6 +133,8 @@ parseDouble(const std::string &text, double &out)
         return false;
     }
 }
+
+namespace {
 
 bool
 parseRange(const std::string &text, ServerRange &out)
@@ -232,7 +211,7 @@ applyKey(FaultSpec &spec, const std::string &key, const std::string &value,
             return false;
         }
     } else if (key == "rate") {
-        if (!parseDouble(value, spec.rate) || spec.rate < 0.0 ||
+        if (!parseFinite(value, spec.rate) || spec.rate < 0.0 ||
             spec.rate > 1.0) {
             error = strCat("bad rate '", value, "' (want [0,1])");
             return false;
@@ -243,7 +222,7 @@ applyKey(FaultSpec &spec, const std::string &key, const std::string &value,
             return false;
         }
     } else if (key == "factor") {
-        if (!parseDouble(value, spec.factor) || spec.factor < 1.0) {
+        if (!parseFinite(value, spec.factor) || spec.factor < 1.0) {
             error = strCat("bad factor '", value, "' (want >= 1)");
             return false;
         }
@@ -258,7 +237,7 @@ applyKey(FaultSpec &spec, const std::string &key, const std::string &value,
             return false;
         }
     } else if (key == "loss") {
-        if (!parseDouble(value, spec.loss) || spec.loss < 0.0 ||
+        if (!parseFinite(value, spec.loss) || spec.loss < 0.0 ||
             spec.loss > 1.0) {
             error = strCat("bad loss '", value, "' (want [0,1])");
             return false;

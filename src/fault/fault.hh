@@ -14,8 +14,11 @@
 #ifndef UQSIM_FAULT_FAULT_HH
 #define UQSIM_FAULT_FAULT_HH
 
+#include <cctype>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/types.hh"
@@ -126,10 +129,41 @@ struct FaultSpec
 
 /**
  * Parse a duration like "250ms", "2s", "1500us", "800ns" or a bare
- * number (milliseconds). @return false on malformed input; @p out is
- * untouched then.
+ * number (milliseconds). @return false on malformed input or a tick
+ * count of 2^64 or more; @p out is untouched then.
  */
 bool parseDuration(const std::string &text, Tick &out);
+
+/**
+ * Parse a whole-string finite number: "nan" and "inf" are rejected.
+ * @return false on malformed input; @p out is untouched then.
+ */
+bool parseFinite(const std::string &text, double &out);
+
+/**
+ * Parse a whole-string decimal integer that @p out's type can hold:
+ * digits only, so no sign, blank or wrap-around. @return false
+ * otherwise; @p out is untouched then.
+ */
+template <typename UInt>
+bool
+parseUnsigned(const std::string &text, UInt &out)
+{
+    static_assert(std::is_unsigned_v<UInt>);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    try {
+        std::size_t consumed = 0;
+        const unsigned long long v = std::stoull(text, &consumed);
+        if (consumed != text.size() ||
+            v > std::numeric_limits<UInt>::max())
+            return false;
+        out = static_cast<UInt>(v);
+        return true;
+    } catch (...) {
+        return false;
+    }
+}
 
 /**
  * Parse one `--fault` flag value:

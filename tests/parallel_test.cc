@@ -4,7 +4,7 @@
  *
  * The sharded core's contract, exercised without any model on top:
  * a one-shard engine is bit-identical to the plain Simulator; digests
- * at a fixed shard count never depend on the worker-thread count;
+ * at a fixed shard count never depend on the thread count;
  * cross-shard mail merges in deterministic (when, src, seq) order; and
  * the conservative-lookahead and past-scheduling invariants die loudly
  * when violated.
@@ -98,15 +98,15 @@ pingPongDigest(unsigned threads)
 TEST(ParallelTest, CrossShardPingPongThreadInvariant)
 {
     const std::uint64_t one = pingPongDigest(1);
-    const std::uint64_t two = pingPongDigest(2);
-    EXPECT_EQ(one, two);
+    EXPECT_EQ(pingPongDigest(2), one);
+    EXPECT_EQ(pingPongDigest(3), one); // capped to the two shards
 }
 
 TEST(ParallelTest, MailMergesInDeterministicOrder)
 {
     // Several senders post events that all land at the *same* tick on
     // shard 0; the merge must order them by (when, src, seq) no matter
-    // which worker appended to the mailbox first.
+    // which thread ran which sender.
     auto run = [](unsigned threads) {
         std::vector<int> order;
         ParallelSimulator par({3, /*lookahead=*/5, threads});
@@ -125,6 +125,7 @@ TEST(ParallelTest, MailMergesInDeterministicOrder)
     const std::vector<int> expect{10, 11, 12, 20, 21, 22};
     EXPECT_EQ(run(1), expect);
     EXPECT_EQ(run(2), expect);
+    EXPECT_EQ(run(3), expect);
 }
 
 TEST(ParallelTest, FixedShardCountDigestIgnoresThreads)
@@ -138,9 +139,72 @@ TEST(ParallelTest, FixedShardCountDigestIgnoresThreads)
     };
     const std::uint64_t one = digest(1);
     EXPECT_EQ(digest(2), one);
+    // 3 threads do not divide 4 shards: the driver runs shards 0 and 3.
+    EXPECT_EQ(digest(3), one);
     EXPECT_EQ(digest(4), one);
     // More threads than shards is capped, not an error.
     EXPECT_EQ(digest(16), one);
+    EXPECT_EQ(ParallelSimulator({4, kMaxTick, 16}).threads(), 4u);
+}
+
+/** Two shards ping-pong @p hops times on @p par; @return the events run. */
+std::uint64_t
+crossShardProgram(ParallelSimulator &par, unsigned hops)
+{
+    const std::uint64_t before = par.eventsExecuted();
+    std::function<void(unsigned, unsigned)> bounce =
+        [&](unsigned shard, unsigned left) {
+            if (left == 0)
+                return;
+            const unsigned peer = (shard + 1) % par.shardCount();
+            par.context(shard).postToShard(
+                peer, par.lookahead(),
+                [&bounce, peer, left]() { bounce(peer, left - 1); });
+        };
+    par.context(0).schedule(0, [&bounce, hops]() { bounce(0, hops); });
+    par.run();
+    return par.eventsExecuted() - before;
+}
+
+TEST(ParallelTest, EngineShutsDownWithOrWithoutRounds)
+{
+    // Destroyed before any round: the workers wait at the first round's
+    // barrier and must still be released and joined.
+    {
+        ParallelSimulator idle({4, /*lookahead=*/5, 4});
+        EXPECT_EQ(idle.threads(), 4u);
+    }
+    // Two runs on one engine, then destruction: every round leaves the
+    // barrier in the phase the next arrival (a round or the shutdown)
+    // expects.
+    ParallelSimulator par({4, /*lookahead=*/5, 4});
+    EXPECT_EQ(crossShardProgram(par, 9), 10u);
+    EXPECT_EQ(crossShardProgram(par, 9), 10u);
+}
+
+TEST(ParallelTest, SetupMailDeliversInOrder)
+{
+    // Mail posted from setup code, before the first round, sits in the
+    // senders' outboxes and merges in (when, src, seq) order like mail
+    // posted by events.
+    auto run = [](unsigned threads) {
+        std::vector<int> order;
+        ParallelSimulator par({3, /*lookahead=*/5, threads});
+        for (unsigned s : {2u, 1u})
+            for (int k = 0; k < 2; ++k)
+                for (Tick delay : {7u, 6u})
+                    par.context(s).postToShard(
+                        0, delay, [s, k, delay, &order]() {
+                            order.push_back(static_cast<int>(
+                                delay * 100 + s * 10 + k));
+                        });
+        par.run();
+        return order;
+    };
+    const std::vector<int> expect{610, 611, 620, 621,
+                                  710, 711, 720, 721};
+    EXPECT_EQ(run(1), expect);
+    EXPECT_EQ(run(3), expect);
 }
 
 TEST(ParallelTest, IdenticalShardsDoNotCancel)

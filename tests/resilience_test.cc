@@ -199,6 +199,14 @@ TEST(FaultParseTest, Durations)
     EXPECT_FALSE(fault::parseDuration("abc", t));
     EXPECT_FALSE(fault::parseDuration("10parsecs", t));
     EXPECT_FALSE(fault::parseDuration("ms", t));
+
+    // A tick count of 2^64 or more is rejected, not wrapped (to 0 here,
+    // which would turn a timeout off), and leaves the output untouched.
+    EXPECT_TRUE(fault::parseDuration("10000000000s", t));
+    EXPECT_EQ(t, 10000000000 * kTicksPerSec);
+    EXPECT_FALSE(fault::parseDuration("99999999999s", t));
+    EXPECT_FALSE(fault::parseDuration("18446744074s", t));
+    EXPECT_EQ(t, 10000000000 * kTicksPerSec);
 }
 
 TEST(FaultParseTest, CrashFlag)
@@ -263,6 +271,29 @@ TEST(FaultParseTest, RejectsMalformedFlags)
         "slow@t=1s,dur=1s,server=0,factor=0.5", spec, error));
     EXPECT_FALSE(fault::parseFaultFlag("crash@t=oops,service=x", spec,
                                        error));
+
+    // Integers that do not fit an unsigned, signed values and non-finite
+    // numbers are rejected instead of wrapping or slipping past a range.
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "crash@t=1s,dur=0.5s,service=x,instance=4294967296", spec, error));
+    EXPECT_NE(error.find("bad instance"), std::string::npos) << error;
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "crash@t=1s,service=x,instance=-1", spec, error));
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "slow@t=1s,dur=1s,server=-1,factor=2", spec, error));
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "partition@t=1s,dur=1s,a=0-4294967296,b=2-3", spec, error));
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "errors@t=1s,dur=1s,service=x,rate=nan", spec, error));
+    EXPECT_NE(error.find("bad rate"), std::string::npos) << error;
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "slow@t=1s,dur=1s,server=0,factor=nan", spec, error));
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "slow@t=1s,dur=1s,server=0,factor=inf", spec, error));
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "partition@t=1s,dur=1s,a=0-1,b=2-3,loss=nan", spec, error));
+    EXPECT_FALSE(fault::parseFaultFlag(
+        "crash@t=99999999999s,service=x", spec, error));
 }
 
 TEST(FaultParseTest, JsonSchedule)

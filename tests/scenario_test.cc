@@ -318,6 +318,29 @@ TEST(ScenarioTest, ApplyScenarioFlagChecksRange)
     EXPECT_TRUE(apps::applyScenarioFlag(s, pin, "t=1", error));
     ASSERT_EQ(s.pins.size(), 1u);
     EXPECT_EQ(s.pins[0].shard, 1u);
+
+    // A duration past 2^64 ticks is rejected, not wrapped to 0 (which
+    // would turn the timeout off).
+    const apps::ScenarioField &timeout =
+        *apps::scenarioFieldForFlag("--rpc-timeout");
+    const Tick timeoutBefore = s.rpcTimeout;
+    EXPECT_FALSE(
+        apps::applyScenarioFlag(s, timeout, "99999999999s", error));
+    EXPECT_NE(error.find("bad duration"), std::string::npos) << error;
+    EXPECT_EQ(s.rpcTimeout, timeoutBefore);
+
+    // Non-finite numbers are rejected: nan would run zero requests and
+    // inf would never finish. Neither scenario is run here.
+    const apps::ScenarioField &qps = *apps::scenarioFieldForFlag("--qps");
+    const double qpsBefore = s.qps;
+    EXPECT_FALSE(apps::applyScenarioFlag(s, qps, "nan", error));
+    EXPECT_NE(error.find("bad number 'nan' for --qps"), std::string::npos)
+        << error;
+    EXPECT_FALSE(apps::applyScenarioFlag(s, qps, "inf", error));
+    EXPECT_EQ(s.qps, qpsBefore);
+    const apps::ScenarioField &duration =
+        *apps::scenarioFieldForFlag("--duration");
+    EXPECT_FALSE(apps::applyScenarioFlag(s, duration, "inf", error));
 }
 
 TEST(ScenarioDeathTest, RunScenarioRejectsInvalidScenario)

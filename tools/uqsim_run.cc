@@ -119,8 +119,9 @@ usage()
         "  --seed N           world seed (default 42)\n"
         "  --shards N         replica shards, each its own event queue\n"
         "                     (default 1; load splits evenly)\n"
-        "  --threads N        worker threads driving the shards\n"
-        "                     (default 1; never changes results)\n"
+        "  --threads N        threads running the shards, the driving\n"
+        "                     one included (default 1; never changes\n"
+        "                     results)\n"
         "  --placement MODE   none | replicate | partition: how --shards\n"
         "                     deploys the world (default none; replicate\n"
         "                     is the same replica-worlds layout spelled\n"
