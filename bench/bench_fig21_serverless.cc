@@ -24,8 +24,8 @@ struct Percentiles
 Percentiles
 pct(const Histogram &h)
 {
-    return {h.percentile(5), h.percentile(25), h.percentile(50),
-            h.percentile(75), h.percentile(95)};
+    return {h.quantile(0.05), h.quantile(0.25), h.p50(),
+            h.quantile(0.75), h.p95()};
 }
 
 std::string

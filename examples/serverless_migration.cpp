@@ -46,7 +46,7 @@ run(bool lambda, serverless::StateStoreKind store)
 
     RunResult r;
     r.p50 = world.app->endToEndLatency().p50();
-    r.p95 = world.app->endToEndLatency().percentile(95);
+    r.p95 = world.app->endToEndLatency().p95();
     const Tick window = secToTicks(600.0);
     if (!lambda) {
         r.costPer10Min = serverless::Ec2CostModel{}.cost(56, window);

@@ -12,12 +12,9 @@ Histogram::Histogram(unsigned sub_bucket_bits)
 {
     if (sub_bucket_bits < 1 || sub_bucket_bits > 16)
         fatal("Histogram sub_bucket_bits out of range [1,16]");
-    // One linear region covering [0, 2*subBucketCount), then one
-    // half-octave of subBucketCount/2... simplest correct scheme:
-    // octaves 0..63, each with subBucketCount buckets. Some low
-    // octaves alias to the same values, which is fine (they are just
-    // never used past the first).
-    buckets_.assign(64 * subBucketCount_, 0);
+    // One row of unit buckets below subBucketCount, then one row of
+    // subBucketCount sub-buckets per octave up to 2^64.
+    buckets_.assign((65 - sub_bucket_bits) * subBucketCount_, 0);
 }
 
 std::size_t
@@ -25,14 +22,17 @@ Histogram::bucketIndex(std::uint64_t value) const
 {
     if (value < subBucketCount_)
         return static_cast<std::size_t>(value);
-    // Position of the highest set bit.
-    const unsigned msb = 63u - static_cast<unsigned>(__builtin_clzll(value));
-    // Octave relative to the linear region; for octave o, values lie in
-    // [2^(o + subBucketBits - 1), 2^(o + subBucketBits)) and the top
-    // subBucketBits bits select the (upper half of the) sub-buckets.
-    const unsigned octave = msb - subBucketBits_ + 1;
-    const std::uint64_t sub = (value >> octave) & (subBucketCount_ - 1);
-    return static_cast<std::size_t>(octave) * subBucketCount_ + sub;
+    // Octave of values whose shifted top subBucketBits+1 bits land in
+    // [2^bits, 2^(bits+1)): every sub-bucket's width is 1/2^bits of
+    // its own lower bound, which is what makes relativeErrorBound()
+    // a guarantee rather than a best case.
+    const unsigned msb =
+        63u - static_cast<unsigned>(__builtin_clzll(value));
+    const unsigned octave = msb - subBucketBits_;
+    const std::uint64_t sub =
+        (value >> octave) - subBucketCount_; // in [0, 2^bits)
+    return (static_cast<std::size_t>(octave) + 1) * subBucketCount_ +
+           static_cast<std::size_t>(sub);
 }
 
 std::uint64_t
@@ -40,30 +40,21 @@ Histogram::bucketUpperBound(std::size_t index) const
 {
     if (index < subBucketCount_)
         return static_cast<std::uint64_t>(index);
-    const std::size_t octave = index / subBucketCount_;
+    const std::size_t octave = index / subBucketCount_ - 1;
     const std::uint64_t sub = index % subBucketCount_;
-    // Inverse of bucketIndex: values in this bucket satisfy
-    // (value >> octave) == sub, so the largest is ((sub+1) << octave) - 1.
-    return ((sub + 1) << octave) - 1;
+    return ((sub + subBucketCount_ + 1) << octave) - 1;
 }
 
 void
 Histogram::record(std::uint64_t value)
 {
-    record(value, 1);
-}
-
-void
-Histogram::record(std::uint64_t value, std::uint64_t n)
-{
-    if (n == 0)
-        return;
     const std::size_t idx = bucketIndex(value);
-    buckets_[std::min(idx, buckets_.size() - 1)] += n;
-    count_ += n;
+    if (buckets_[idx]++ == 0)
+        touched_.push_back(static_cast<std::uint32_t>(idx));
+    ++count_;
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
-    sum_ += static_cast<double>(value) * static_cast<double>(n);
+    sum_ += static_cast<double>(value);
 }
 
 double
@@ -73,27 +64,56 @@ Histogram::mean() const
 }
 
 std::uint64_t
-Histogram::percentile(double p) const
+Histogram::quantile(double q) const
 {
-    if (count_ == 0)
-        return 0;
-    // The extremes are tracked exactly; answer them exactly rather
-    // than with a bucket upper bound (which can overshoot min_).
-    if (p <= 0.0)
-        return min_;
-    if (p >= 100.0)
-        return max_;
-    // Rank of the requested sample (1-based, ceil).
-    const std::uint64_t rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(p / 100.0 *
-                                      static_cast<double>(count_) + 0.5));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= rank)
-            return std::clamp(bucketUpperBound(i), min_, max_);
+    std::uint64_t v;
+    quantiles(&q, 1, &v);
+    return v;
+}
+
+void
+Histogram::quantiles(const double *qs, std::size_t n,
+                     std::uint64_t *out) const
+{
+    if (count_ == 0) {
+        std::fill(out, out + n, 0);
+        return;
     }
-    return max_;
+    // Ranks (1-based), with the q<=0 / q>=1 exact answers filled up
+    // front: a bucket edge can overshoot the tracked min.
+    std::uint64_t ranks[16];
+    if (n > sizeof(ranks) / sizeof(ranks[0]))
+        panic("Histogram::quantiles with too many quantiles");
+    std::size_t open = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ranks[i] = 0;
+        if (qs[i] <= 0.0) {
+            out[i] = min_;
+        } else if (qs[i] >= 1.0) {
+            out[i] = max_;
+        } else {
+            ranks[i] = std::max<std::uint64_t>(
+                1, static_cast<std::uint64_t>(
+                       qs[i] * static_cast<double>(count_) + 0.5));
+            out[i] = max_;
+            ++open;
+        }
+    }
+    // Every sample lies between the buckets of the exact min and max.
+    std::uint64_t seen = 0;
+    const std::size_t hi = bucketIndex(max_);
+    for (std::size_t i = bucketIndex(min_); i <= hi && open > 0; ++i) {
+        if (buckets_[i] == 0)
+            continue;
+        seen += buckets_[i];
+        for (std::size_t k = 0; k < n; ++k) {
+            if (ranks[k] != 0 && seen >= ranks[k]) {
+                out[k] = std::clamp(bucketUpperBound(i), min_, max_);
+                ranks[k] = 0;
+                --open;
+            }
+        }
+    }
 }
 
 void
@@ -101,8 +121,11 @@ Histogram::merge(const Histogram &other)
 {
     if (other.subBucketBits_ != subBucketBits_)
         panic("Histogram::merge with different resolution");
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
+    for (std::uint32_t idx : other.touched_) {
+        if (buckets_[idx] == 0)
+            touched_.push_back(idx);
+        buckets_[idx] += other.buckets_[idx];
+    }
     count_ += other.count_;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
@@ -112,7 +135,9 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::reset()
 {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
+    for (std::uint32_t idx : touched_)
+        buckets_[idx] = 0;
+    touched_.clear();
     count_ = 0;
     min_ = ~0ull;
     max_ = 0;

@@ -33,14 +33,21 @@
 #include <string>
 #include <vector>
 
+#include "core/histogram.hh"
 #include "core/metrics.hh"
 #include "core/types.hh"
-#include "obs/sketch.hh"
 #include "obs/slo.hh"
 #include "obs/timeseries.hh"
 #include "service/app.hh"
 
 namespace uqsim::obs {
+
+/**
+ * Resolution of the per-interval latency histograms (a 1/64 bound).
+ * Their interval p99 drives the SLO monitor and the autoscaler, which
+ * schedule work, so a change here moves execution digests.
+ */
+inline constexpr unsigned kSketchBits = 6;
 
 /** Pipeline-wide configuration (the scenario `slo:` block). */
 struct PipelineConfig
@@ -91,7 +98,7 @@ class Pipeline : public service::ObsTap
     /** Per-tier accumulation between boundaries. */
     struct TierLive
     {
-        QuantileSketch sketch;
+        Histogram sketch{kSketchBits};
         std::uint64_t rejects = 0;
         // Previous cumulative values, for interval deltas. A counter
         // below its previous value was reset (statReset() after
@@ -135,7 +142,7 @@ class Pipeline : public service::ObsTap
     /** Indexed by the tier's interned traceServiceId (dense per app). */
     std::vector<TierLive> tiers_;
     /** End-to-end accumulation between boundaries. */
-    QuantileSketch e2eSketch_;
+    Histogram e2eSketch_{kSketchBits};
     std::uint64_t e2eOk_ = 0;
     std::uint64_t e2eFailed_ = 0;
     Series *e2eSeries_ = nullptr;

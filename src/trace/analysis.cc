@@ -86,16 +86,6 @@ TraceAnalysis::endToEndNetworkShare() const
     return n ? total / static_cast<double>(n) : 0.0;
 }
 
-Histogram
-TraceAnalysis::endToEndLatency() const
-{
-    Histogram h;
-    for (const Span &sp : store_.spans())
-        if (sp.parentSpanId == kNoParent)
-            h.record(sp.duration());
-    return h;
-}
-
 std::map<std::string, double>
 TraceAnalysis::criticalPath() const
 {

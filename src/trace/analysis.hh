@@ -89,9 +89,6 @@ class TraceAnalysis
      */
     double endToEndNetworkShare() const;
 
-    /** Histogram of root-span (end-to-end) latencies. */
-    Histogram endToEndLatency() const;
-
     /**
      * Critical-path service attribution: charges each span its
      * exclusive time (duration minus children, clamped at zero for

@@ -24,7 +24,6 @@
 #include "core/json.hh"
 #include "obs/export.hh"
 #include "obs/pipeline.hh"
-#include "obs/sketch.hh"
 #include "trace/export.hh"
 #include "workload/generators.hh"
 #include "workload/user_population.hh"
@@ -226,7 +225,7 @@ TEST(ObsIntegrationTest, IntervalPercentilesTrackExactWithinBound)
 
     const obs::Series *e2e = pipe.store().find(obs::kEndToEndSeries);
     ASSERT_NE(e2e, nullptr);
-    const double bound = obs::QuantileSketch().relativeErrorBound();
+    const double bound = Histogram(obs::kSketchBits).relativeErrorBound();
     ASSERT_LE(bound, 0.02);
 
     unsigned compared = 0;

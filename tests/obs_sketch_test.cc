@@ -1,11 +1,13 @@
 /**
  * @file
- * QuantileSketch property tests: the O(1) streaming sketch must answer
- * any quantile within its documented relative error bound
- * (1/2^subBucketBits, <= 2% at the default resolution) against the
+ * Quantile-sketch property tests: the telemetry pipeline's
+ * per-interval histogram (a Histogram at obs::kSketchBits) must
+ * answer any quantile within its documented relative error bound
+ * (1/2^subBucketBits, <= 2% at the pipeline's resolution) against the
  * exact order statistics, across distribution shapes — uniform,
  * exponential (heavy right tail) and bimodal (the classic cache
- * hit/miss latency mixture a mean would hide).
+ * hit/miss latency mixture a mean would hide) — and survive the
+ * pipeline's snapshot-and-reset lifecycle.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +17,8 @@
 #include <random>
 #include <vector>
 
-#include "obs/sketch.hh"
+#include "core/histogram.hh"
+#include "obs/pipeline.hh"
 
 namespace uqsim::obs {
 namespace {
@@ -39,7 +42,7 @@ void
 expectWithinBound(const std::vector<std::uint64_t> &samples,
                   const char *label)
 {
-    QuantileSketch sketch;
+    Histogram sketch(kSketchBits);
     for (std::uint64_t v : samples)
         sketch.record(v);
     ASSERT_EQ(sketch.count(), samples.size());
@@ -96,7 +99,7 @@ TEST(QuantileSketchTest, BimodalWithinBound)
     }
     expectWithinBound(samples, "bimodal");
 
-    QuantileSketch sketch;
+    Histogram sketch(kSketchBits);
     for (std::uint64_t v : samples)
         sketch.record(v);
     EXPECT_LT(sketch.p50(), 400'000u) << "p50 must sit on the hit mode";
@@ -106,7 +109,7 @@ TEST(QuantileSketchTest, BimodalWithinBound)
 
 TEST(QuantileSketchTest, ExactScalarsAndEmptyState)
 {
-    QuantileSketch s;
+    Histogram s(kSketchBits);
     EXPECT_EQ(s.count(), 0u);
     EXPECT_EQ(s.min(), 0u);
     EXPECT_EQ(s.max(), 0u);
@@ -124,7 +127,7 @@ TEST(QuantileSketchTest, ExactScalarsAndEmptyState)
 
 TEST(QuantileSketchTest, QuantileClampsToObservedRange)
 {
-    QuantileSketch s;
+    Histogram s(kSketchBits);
     for (int i = 0; i < 100; ++i)
         s.record(1'000'000);
     EXPECT_EQ(s.quantile(0.0), 1'000'000u);
@@ -136,7 +139,7 @@ TEST(QuantileSketchTest, MergeMatchesCombinedStream)
 {
     std::mt19937_64 rng(4);
     std::uniform_int_distribution<std::uint64_t> d(1, 10'000'000);
-    QuantileSketch a, b, all;
+    Histogram a(kSketchBits), b(kSketchBits), all(kSketchBits);
     std::vector<std::uint64_t> combined;
     for (int i = 0; i < 5000; ++i) {
         const std::uint64_t va = d(rng), vb = d(rng);
@@ -158,7 +161,7 @@ TEST(QuantileSketchTest, MergeMatchesCombinedStream)
 
 TEST(QuantileSketchTest, ResetForgetsEverything)
 {
-    QuantileSketch s;
+    Histogram s(kSketchBits);
     for (std::uint64_t v = 1; v <= 1000; ++v)
         s.record(v * 1000);
     ASSERT_GT(s.p99(), 0u);
@@ -181,7 +184,7 @@ TEST(QuantileSketchTest, BatchQuantilesMatchScalarCalls)
     // including the q<=0 / q>=1 exact endpoints.
     std::mt19937_64 rng(5);
     std::exponential_distribution<double> d(1.0 / 750'000.0);
-    QuantileSketch s;
+    Histogram s(kSketchBits);
     for (int i = 0; i < 10000; ++i)
         s.record(static_cast<std::uint64_t>(d(rng)) + 1);
 
@@ -192,7 +195,7 @@ TEST(QuantileSketchTest, BatchQuantilesMatchScalarCalls)
         EXPECT_EQ(out[i], s.quantile(qs[i])) << "q=" << qs[i];
 
     // Empty sketch: everything is 0, same as quantile().
-    QuantileSketch empty;
+    Histogram empty(kSketchBits);
     std::uint64_t zeros[2] = {7, 7};
     const double both[] = {0.5, 0.99};
     empty.quantiles(both, 2, zeros);
@@ -202,7 +205,7 @@ TEST(QuantileSketchTest, BatchQuantilesMatchScalarCalls)
 
 TEST(QuantileSketchTest, HigherResolutionTightensTheBound)
 {
-    QuantileSketch coarse(3), fine(10);
+    Histogram coarse(3), fine(10);
     EXPECT_DOUBLE_EQ(coarse.relativeErrorBound(), 1.0 / 8.0);
     EXPECT_DOUBLE_EQ(fine.relativeErrorBound(), 1.0 / 1024.0);
 }

@@ -217,18 +217,6 @@ TEST(TraceAnalysisTest, EndToEndNetworkShare)
     EXPECT_NEAR(ta.endToEndNetworkShare(), 0.3, 1e-9);
 }
 
-TEST(TraceAnalysisTest, EndToEndLatencyUsesRootsOnly)
-{
-    TraceStore store;
-    store.insert(makeSpan(store, 1, 1, kNoParent, "client", 0, 5000));
-    store.insert(makeSpan(store, 1, 2, 1, "svc", 0, 4000));
-    store.insert(makeSpan(store, 2, 3, kNoParent, "client", 0, 7000));
-    TraceAnalysis ta(store);
-    const auto h = ta.endToEndLatency();
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_GE(h.max(), 7000u);
-}
-
 TEST(TraceAnalysisTest, CriticalPathExclusiveTimes)
 {
     TraceStore store;
