@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -24,8 +25,10 @@ namespace {
 /**
  * The pre-ladder-queue scheduler, kept as an in-bench baseline: a
  * std::priority_queue of entries with one shared_ptr cancellation
- * state allocated per event. Used to quantify the ladder queue's
- * speedup on identical workloads (BM_EventChurn_* below).
+ * state allocated per event, and the std::function callback it used
+ * (copied out of priority_queue::top(), so it must be copyable). Used
+ * to quantify the ladder queue's speedup on identical workloads
+ * (BM_EventChurn_* below).
  */
 class BaselineHeapQueue
 {
@@ -35,9 +38,10 @@ class BaselineHeapQueue
         bool cancelled = false;
     };
     using Handle = std::shared_ptr<State>;
+    using Callback = std::function<void()>;
 
     Handle
-    schedule(Tick when, EventCallback cb)
+    schedule(Tick when, Callback cb)
     {
         auto state = std::make_shared<State>();
         heap_.push(Entry{when, nextSeq_++, std::move(cb), state});
@@ -56,7 +60,7 @@ class BaselineHeapQueue
 
     bool empty() const { return live_ == 0; }
 
-    std::pair<Tick, EventCallback>
+    std::pair<Tick, Callback>
     popNext()
     {
         while (heap_.top().state->cancelled)
@@ -72,7 +76,7 @@ class BaselineHeapQueue
     {
         Tick when;
         std::uint64_t seq;
-        EventCallback cb;
+        Callback cb;
         std::shared_ptr<State> state;
     };
 

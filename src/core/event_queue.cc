@@ -8,20 +8,27 @@ namespace uqsim {
 
 namespace detail {
 
+EventPool::~EventPool()
+{
+    forEachNode([](EventNode &node) { node.~EventNode(); });
+    for (EventNode *chunk : chunks)
+        ::operator delete(chunk);
+}
+
 EventNode *
 EventPool::allocate()
 {
-    if (!freeList) {
-        chunks.push_back(std::make_unique<EventNode[]>(kChunkNodes));
-        EventNode *arr = chunks.back().get();
-        for (std::size_t i = kChunkNodes; i-- > 0;) {
-            arr[i].next = freeList;
-            freeList = &arr[i];
-        }
+    if (freeList) {
+        EventNode *node = freeList;
+        freeList = node->next;
+        return node;
     }
-    EventNode *node = freeList;
-    freeList = node->next;
-    return node;
+    if (carved == kChunkNodes) {
+        chunks.push_back(static_cast<EventNode *>(
+            ::operator new(sizeof(EventNode) * kChunkNodes)));
+        carved = 0;
+    }
+    return ::new (chunks.back() + carved++) EventNode;
 }
 
 void
@@ -46,7 +53,7 @@ fnv1aWord(std::uint64_t hash, std::uint64_t word)
 } // namespace
 
 EventQueue::EventQueue()
-    : pool_(std::make_shared<detail::EventPool>()),
+    : pool_(new detail::EventPool),
       buckets_(kBuckets),
       occWords_(kWords, 0),
       sumWords_(kWords / 64, 0)
@@ -54,21 +61,18 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
-    for (auto &chunk : pool_->chunks) {
-        for (std::size_t i = 0; i < detail::EventPool::kChunkNodes; ++i) {
-            EventCallback dead;
-            dead.swap(chunk[i].cb);
-        }
-    }
+    pool_->forEachNode([](detail::EventNode &node) {
+        EventCallback dead = std::move(node.cb);
+    });
+    pool_->unref();
 }
 
-EventHandle
-EventQueue::schedule(Tick when, EventCallback cb)
+detail::EventNode *
+EventQueue::enqueue(Tick when)
 {
     detail::EventNode *node = pool_->allocate();
     node->when = when;
     node->seq = nextSeq_++;
-    node->cb = std::move(cb);
     node->next = nullptr;
     node->handleRefs = 1; // adopted by the returned handle
     node->status = detail::EventStatus::Scheduled;
@@ -91,7 +95,7 @@ EventQueue::schedule(Tick when, EventCallback cb)
         heap_.push(HeapEntry{when, node->seq, node});
     }
     ++pool_->liveCount;
-    return EventHandle(pool_, node);
+    return node;
 }
 
 void
@@ -117,8 +121,7 @@ EventQueue::retire(detail::EventNode *node) const
     // closure often owns the very handle naming it (an attempt and its
     // timeout), and a kept callback would pin both for good. It dies
     // after the bookkeeping, since its own handles re-enter release().
-    EventCallback dead;
-    dead.swap(node->cb);
+    EventCallback dead = std::move(node->cb);
     if (node->handleRefs == 0)
         pool_->release(node);
 }
@@ -242,7 +245,35 @@ EventQueue::popNext()
     detail::EventNode *node = peekNext(&bucket);
     if (!node)
         panic("EventQueue::popNext() on empty queue");
+    pop(node, bucket);
+    // Move the callback out before recycling: it may schedule new
+    // events, which mutates buckets/heap (and may reuse this node).
+    EventCallback cb = std::move(node->cb);
+    const Tick when = node->when;
+    retire(node);
+    return {when, std::move(cb)};
+}
 
+bool
+EventQueue::runNext(Tick horizon, Tick &clock)
+{
+    std::size_t bucket;
+    detail::EventNode *node = peekNext(&bucket);
+    if (!node || node->when > horizon)
+        return false;
+    pop(node, bucket);
+    clock = node->when;
+    // Run in place: the node is unlinked but still marked in-queue,
+    // so new events take other nodes, and a handle released by the
+    // callback itself cannot recycle this one under it.
+    node->cb();
+    retire(node);
+    return true;
+}
+
+void
+EventQueue::pop(detail::EventNode *node, std::size_t bucket)
+{
     if (bucket != kInvalidBucket) {
         Bucket &b = buckets_[bucket];
         b.head = node->next;
@@ -261,13 +292,6 @@ EventQueue::popNext()
     digest_ = fnv1aWord(fnv1aWord(digest_, node->when), node->seq);
     if (node->when > cursor_)
         cursor_ = node->when;
-
-    // Move the callback out before recycling: it may schedule new
-    // events, which mutates buckets/heap (and may reuse this node).
-    EventCallback cb = std::move(node->cb);
-    const Tick when = node->when;
-    retire(node);
-    return {when, std::move(cb)};
 }
 
 } // namespace uqsim

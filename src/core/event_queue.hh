@@ -12,8 +12,9 @@
  * a ring of per-tick FIFO buckets covers the near future (O(1) schedule
  * and pop for the common short-delay case), and an overflow min-heap
  * holds events scheduled beyond the bucket window. Event nodes are
- * pooled through an intrusive free list, so steady-state scheduling
- * performs no allocation. The execution order is exactly the global
+ * pooled through an intrusive free list and each holds its callback
+ * inline (core/callback.hh), so steady-state scheduling performs no
+ * allocation. The execution order is exactly the global
  * (tick, sequence-number) order the old heap implementation produced,
  * and a running FNV-1a digest over every executed (tick, seq) pair lets
  * two runs be proven identical (see executionDigest()).
@@ -23,18 +24,17 @@
 #define UQSIM_CORE_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
 
+#include "core/callback.hh"
 #include "core/types.hh"
 
 namespace uqsim {
 
 /** Callback type invoked when an event fires. */
-using EventCallback = std::function<void()>;
+using EventCallback = Callback<void()>;
 
 namespace detail {
 
@@ -67,17 +67,39 @@ struct EventNode
 /**
  * Chunked node pool shared between the queue and any outstanding
  * handles, so a handle may safely outlive its queue (mirroring the old
- * shared-state semantics) without a per-event heap allocation.
+ * shared-state semantics) without a per-event heap allocation. The
+ * queue and every handle each hold one count in `refs` (plain, not
+ * atomic: a shard's queue and handles live on its thread); the last
+ * one frees the pool. Chunks come from plain operator new and are
+ * carved node by node, so the pool touches memory only as the queue's
+ * depth grows.
  */
 struct EventPool
 {
     static constexpr std::size_t kChunkNodes = 4096;
 
-    std::vector<std::unique_ptr<EventNode[]>> chunks;
+    EventPool() = default;
+    EventPool(const EventPool &) = delete;
+    EventPool &operator=(const EventPool &) = delete;
+    ~EventPool();
+
+    std::vector<EventNode *> chunks;
+    /** Nodes constructed so far in the newest chunk. */
+    std::size_t carved = kChunkNodes;
     EventNode *freeList = nullptr;
     /** Scheduled-and-not-cancelled events (shared so handles can
      *  decrement it on cancellation). */
     std::uint64_t liveCount = 0;
+    /** The queue plus every EventHandle into this pool. */
+    std::uint64_t refs = 1;
+
+    /** Drop one count; the last one frees the pool. */
+    void
+    unref()
+    {
+        if (--refs == 0)
+            delete this;
+    }
 
     /** Pop a node off the free list, growing the pool if needed. */
     EventNode *allocate();
@@ -85,6 +107,19 @@ struct EventPool
     /** Return a retired, unreferenced (and callback-free) node to the
      *  free list. */
     void release(EventNode *node);
+
+    /** Call @p fn on every node constructed so far. */
+    template <typename Fn>
+    void
+    forEachNode(Fn fn)
+    {
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+            const std::size_t n =
+                c + 1 == chunks.size() ? carved : kChunkNodes;
+            for (std::size_t i = 0; i < n; ++i)
+                fn(chunks[c][i]);
+        }
+    }
 };
 
 } // namespace detail
@@ -105,15 +140,16 @@ class EventHandle
     EventHandle(const EventHandle &other)
         : pool_(other.pool_), node_(other.node_)
     {
-        if (node_)
+        if (node_) {
             ++node_->handleRefs;
+            ++pool_->refs;
+        }
     }
 
     EventHandle(EventHandle &&other) noexcept
-        : pool_(std::move(other.pool_)), node_(other.node_)
-    {
-        other.node_ = nullptr;
-    }
+        : pool_(std::exchange(other.pool_, nullptr)),
+          node_(std::exchange(other.node_, nullptr))
+    {}
 
     /** Unified copy/move assignment (copy-and-swap). */
     EventHandle &
@@ -157,10 +193,11 @@ class EventHandle
     friend class EventQueue;
 
     /** Adopts one reference already counted in node->handleRefs. */
-    EventHandle(std::shared_ptr<detail::EventPool> pool,
-                detail::EventNode *node)
-        : pool_(std::move(pool)), node_(node)
-    {}
+    EventHandle(detail::EventPool *pool, detail::EventNode *node)
+        : pool_(pool), node_(node)
+    {
+        ++pool_->refs;
+    }
 
     void
     reset()
@@ -172,10 +209,10 @@ class EventHandle
             pool_->release(node_);
         }
         node_ = nullptr;
-        pool_.reset();
+        std::exchange(pool_, nullptr)->unref();
     }
 
-    std::shared_ptr<detail::EventPool> pool_;
+    detail::EventPool *pool_ = nullptr;
     detail::EventNode *node_ = nullptr;
 };
 
@@ -199,10 +236,18 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule @p cb to fire at absolute time @p when.
+     * Schedule @p cb to fire at absolute time @p when. The callback
+     * is built in place in the event's pooled node.
      * @return a handle that may be used to cancel the event.
      */
-    EventHandle schedule(Tick when, EventCallback cb);
+    template <typename F>
+    EventHandle
+    schedule(Tick when, F &&cb)
+    {
+        detail::EventNode *node = enqueue(when);
+        node->cb = std::forward<F>(cb);
+        return EventHandle(pool_, node);
+    }
 
     /** @return true if no live (uncancelled) events remain. */
     bool empty() const { return pool_->liveCount == 0; }
@@ -217,13 +262,23 @@ class EventQueue
     Tick nextTick() const;
 
     /**
-     * Pop the earliest live event *without* running it. The caller
-     * (Simulator) advances its clock to the returned tick first and
+     * Pop the earliest live event *without* running it. A caller
+     * driving its own clock advances it to the returned tick first and
      * then invokes the callback, so event handlers always observe the
-     * correct current time.
+     * correct current time (the engine itself uses runNext()).
      * @pre !empty()
      */
     std::pair<Tick, EventCallback> popNext();
+
+    /**
+     * Pop the earliest live event if it fires at or before
+     * @p horizon, set @p clock to its tick and run its callback in
+     * place: one queue scan where nextTick() then popNext() take two,
+     * and no move of the callback. This is the engine's dispatch step.
+     * @return false (and leaves @p clock alone) if the queue holds no
+     * live event at or before @p horizon.
+     */
+    bool runNext(Tick horizon, Tick &clock);
 
     /** Total number of events ever executed (for stats/benchmarks). */
     std::uint64_t executedCount() const { return executed_; }
@@ -306,7 +361,22 @@ class EventQueue
      */
     detail::EventNode *peekNext(std::size_t *bucketIndex) const;
 
-    std::shared_ptr<detail::EventPool> pool_;
+    /**
+     * Take a fresh node for time @p when, link it into its bucket or
+     * the overflow heap and count it live; the caller sets its
+     * callback.
+     */
+    detail::EventNode *enqueue(Tick when);
+
+    /**
+     * Unlink @p node, the peekNext() result from @p bucket, and
+     * account it as executed. The node stays marked in-queue, so no
+     * handle release can recycle it, until retire().
+     */
+    void pop(detail::EventNode *node, std::size_t bucket);
+
+    /** Owned through one of the pool's counts. */
+    detail::EventPool *pool_;
 
     /** Ring of per-tick buckets covering [cursor_, cursor_+kBuckets). */
     mutable std::vector<Bucket> buckets_;

@@ -172,24 +172,28 @@ ParallelSimulator::runShard(Shard &s, Tick horizon)
 {
     EventQueue &q = s.queue;
     if (s.observers.empty()) {
-        // Observer-free fast path: no per-event boundary check.
-        while (!q.empty() && q.nextTick() <= horizon) {
-            auto [when, cb] = q.popNext();
-            s.now = when;
-            cb();
+        // Observer-free fast path: one queue scan per event.
+        while (q.runNext(horizon, s.now)) {
         }
         return;
     }
-    while (!q.empty() && q.nextTick() <= horizon) {
-        // Boundaries <= the next local event time are due. Nothing
-        // at or below the horizon can still arrive by mail (the
-        // lookahead contract), so all events < boundary have already
-        // executed — the lazily-fired sample equals an eagerly-fired
-        // one.
-        fireObservers(s, q.nextTick());
-        auto [when, cb] = q.popNext();
-        s.now = when;
-        cb();
+    while (true) {
+        // Events below the next boundary run without a boundary check
+        // (nextBoundary >= 1: boundaries are positive multiples).
+        if (q.runNext(std::min(horizon, s.nextBoundary - 1), s.now))
+            continue;
+        if (q.empty())
+            return;
+        const Tick next = q.nextTick();
+        if (next > horizon)
+            return;
+        // Boundaries <= the next local event time are due, fired
+        // before that event leaves the queue. Nothing at or below the
+        // horizon can still arrive by mail (the lookahead contract),
+        // so all events < boundary have already executed — the
+        // lazily-fired sample equals an eagerly-fired one.
+        fireObservers(s, next);
+        q.runNext(horizon, s.now);
     }
 }
 

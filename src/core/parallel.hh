@@ -142,11 +142,12 @@ class ParallelSimulator
     Tick now() const { return shards_[0]->now; }
 
     /** Schedule on shard 0, @p delay ticks from now. */
+    template <typename F>
     EventHandle
-    schedule(Tick delay, EventCallback cb)
+    schedule(Tick delay, F &&cb)
     {
         Shard &s = *shards_[0];
-        return s.queue.schedule(s.now + delay, std::move(cb));
+        return s.queue.schedule(s.now + delay, std::forward<F>(cb));
     }
 
     /** Schedule on shard 0 at @p when (the past is an error). */

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "core/event_queue.hh"
 #include "core/types.hh"
@@ -55,10 +56,11 @@ class SimContext
      * Schedule a callback @p delay ticks from now on this shard.
      * @return a cancellation handle.
      */
+    template <typename F>
     EventHandle
-    schedule(Tick delay, EventCallback cb)
+    schedule(Tick delay, F &&cb)
     {
-        return queue_->schedule(*now_ + delay, std::move(cb));
+        return queue_->schedule(*now_ + delay, std::forward<F>(cb));
     }
 
     /**
@@ -66,12 +68,13 @@ class SimContext
      * Scheduling in the past is an internal error; the panic reports
      * the offending when/now ticks (and the shard, when sharded).
      */
+    template <typename F>
     EventHandle
-    scheduleAt(Tick when, EventCallback cb)
+    scheduleAt(Tick when, F &&cb)
     {
         if (when < *now_)
             pastScheduleError(when);
-        return queue_->schedule(when, std::move(cb));
+        return queue_->schedule(when, std::forward<F>(cb));
     }
 
     /**

@@ -62,15 +62,16 @@ Server::startTask(Task task)
     utilization_.update(ctx_.now(),
                         static_cast<double>(busyCores_) / numCores());
     const Tick duration = taskDuration(task);
-    TaskDone done = std::move(task.done);
-    ctx_.schedule(duration, [this, duration, done = std::move(done)]() {
-        onTaskDone(duration, std::move(done));
-    });
+    const std::uint32_t slot =
+        running_.park(Running{std::move(task.done), duration});
+    ctx_.schedule(duration, [this, slot]() { onTaskDone(slot); });
 }
 
 void
-Server::onTaskDone(Tick busy_time, TaskDone done)
+Server::onTaskDone(std::uint32_t slot)
 {
+    Running task = running_.take(slot);
+    const Tick busy_time = task.duration;
     --busyCores_;
     totalBusyTime_ += busy_time;
     ++tasksCompleted_;
@@ -82,8 +83,8 @@ Server::onTaskDone(Tick busy_time, TaskDone done)
         utilization_.update(ctx_.now(),
                             static_cast<double>(busyCores_) / numCores());
     }
-    if (done)
-        done(busy_time);
+    if (task.done)
+        task.done(busy_time);
 }
 
 void

@@ -14,11 +14,12 @@
 #define UQSIM_CPU_SERVER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "core/callback.hh"
+#include "core/pool.hh"
+#include "core/ring.hh"
 #include "core/sim_context.hh"
 #include "core/stats.hh"
 #include "core/types.hh"
@@ -27,7 +28,7 @@
 namespace uqsim::cpu {
 
 /** Completion callback; receives the task's time on the core. */
-using TaskDone = std::function<void(Tick busy_time)>;
+using TaskDone = Callback<void(Tick busy_time)>;
 
 /**
  * A server: N identical cores fed from one FCFS queue.
@@ -110,11 +111,18 @@ class Server
         TaskDone done;
     };
 
+    /** A task on a core: its completion waits here, not in the event. */
+    struct Running
+    {
+        TaskDone done;
+        Tick duration = 0;
+    };
+
     /** Execution time of a task at current settings. */
     Tick taskDuration(const Task &t) const;
 
     void startTask(Task task);
-    void onTaskDone(Tick busy_time, TaskDone done);
+    void onTaskDone(std::uint32_t slot);
 
     SimContext ctx_;
     unsigned id_;
@@ -124,7 +132,9 @@ class Server
     double slowFactor_ = 1.0;
 
     unsigned busyCores_ = 0;
-    std::deque<Task> pending_;
+    Ring<Task> pending_;
+    /** Running tasks, parked by the id their completion event holds. */
+    SlotTable<Running> running_;
 
     TimeWeightedGauge utilization_;
     Tick totalBusyTime_ = 0;

@@ -17,14 +17,15 @@ Network::Network(SimContext ctx, NetworkConfig config, Rng rng)
 void
 Network::attachWireless(unsigned server_id)
 {
+    if (server_id >= wireless_.size())
+        wireless_.resize(server_id + 1, false);
     wireless_[server_id] = true;
 }
 
 bool
 Network::isWireless(unsigned server_id) const
 {
-    auto it = wireless_.find(server_id);
-    return it != wireless_.end() && it->second;
+    return server_id < wireless_.size() && wireless_[server_id];
 }
 
 Tick
@@ -36,18 +37,15 @@ Network::serializationDelay(Bytes size, double gbps)
 }
 
 Tick
-Network::propagation(unsigned src, unsigned dst)
+Network::wirelessPropagation(bool src_wireless, bool dst_wireless)
 {
-    const bool wireless = isWireless(src) || isWireless(dst);
-    if (!wireless)
-        return config_.wireLatency;
     // Wireless latency is jittery: log-normal multiplier around 1.
     const double jitter =
         rng_.lognormal(0.0, config_.wirelessJitterSigma);
     Tick lat = static_cast<Tick>(
         static_cast<double>(config_.wirelessLatency) * jitter);
     // Drone-to-drone traffic crosses the router twice.
-    if (isWireless(src) && isWireless(dst))
+    if (src_wireless && dst_wireless)
         lat *= 2;
     return lat;
 }
@@ -55,7 +53,18 @@ Network::propagation(unsigned src, unsigned dst)
 Network::TxQueue &
 Network::txQueue(unsigned server_id)
 {
+    if (server_id >= txQueues_.size())
+        txQueues_.resize(server_id + 1);
     return txQueues_[server_id];
+}
+
+void
+Network::land(std::uint32_t slot)
+{
+    InFlight msg = inflight_.take(slot);
+    ++messages_;
+    bytes_ += msg.size;
+    msg.deliver(msg.queueingTx, msg.propagation);
 }
 
 std::pair<Tick, Tick>
@@ -81,18 +90,16 @@ Network::send(unsigned src, unsigned dst, Bytes size, DeliverFn deliver)
             return;
         }
         const Tick delay = config_.loopbackLatency;
-        ctx_.schedule(delay, [this, size, delay,
-                              deliver = std::move(deliver)]() {
-            ++messages_;
-            bytes_ += size;
-            deliver(0, delay);
-        });
+        const std::uint32_t slot =
+            inflight_.park(InFlight{std::move(deliver), size, 0, delay});
+        ctx_.schedule(delay, [this, slot]() { land(slot); });
         return;
     }
 
-    const double gbps = (isWireless(src) || isWireless(dst))
-                            ? config_.wirelessGbps
-                            : config_.linkGbps;
+    const bool src_wireless = isWireless(src);
+    const bool dst_wireless = isWireless(dst);
+    const bool wireless = src_wireless || dst_wireless;
+    const double gbps = wireless ? config_.wirelessGbps : config_.linkGbps;
 
     TxQueue &tx = txQueue(src);
     const Tick tx_start = std::max(now, tx.busyUntil);
@@ -106,16 +113,15 @@ Network::send(unsigned src, unsigned dst, Bytes size, DeliverFn deliver)
         return;
     }
 
-    const Tick prop = propagation(src, dst);
+    const Tick prop = wireless
+                          ? wirelessPropagation(src_wireless, dst_wireless)
+                          : config_.wireLatency;
     const Tick delivery = tx.busyUntil + prop;
     const Tick queueing_tx = tx.busyUntil - now;
 
-    ctx_.scheduleAt(delivery, [this, size, queueing_tx, prop,
-                               deliver = std::move(deliver)]() {
-        ++messages_;
-        bytes_ += size;
-        deliver(queueing_tx, prop);
-    });
+    const std::uint32_t slot = inflight_.park(
+        InFlight{std::move(deliver), size, queueing_tx, prop});
+    ctx_.scheduleAt(delivery, [this, slot]() { land(slot); });
 }
 
 } // namespace uqsim::net

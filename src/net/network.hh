@@ -20,11 +20,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/callback.hh"
 #include "core/distributions.hh"
+#include "core/pool.hh"
 #include "core/rng.hh"
 #include "core/sim_context.hh"
 #include "core/types.hh"
@@ -129,7 +130,7 @@ struct NetworkConfig
  * *processing* time (queues building in the NICs at high load) - and
  * (b) pure wire/switch propagation, which is latency but not work.
  */
-using DeliverFn = std::function<void(Tick queueing_tx, Tick propagation)>;
+using DeliverFn = Callback<void(Tick queueing_tx, Tick propagation)>;
 
 /**
  * The fabric connecting all servers.
@@ -204,19 +205,38 @@ class Network
         Tick busyUntil = 0;
     };
 
+    /** A message on the wire: its delivery waits here, not in the event. */
+    struct InFlight
+    {
+        DeliverFn deliver;
+        Bytes size = 0;
+        Tick queueingTx = 0;
+        Tick propagation = 0;
+    };
+
     /** Serialization time of @p size bytes at @p gbps. */
     static Tick serializationDelay(Bytes size, double gbps);
 
-    /** Propagation (and jitter) between two endpoints. */
-    Tick propagation(unsigned src, unsigned dst);
+    /**
+     * Propagation (and jitter) between two endpoints, given whether
+     * each end is wireless (at least one is).
+     */
+    Tick wirelessPropagation(bool src_wireless, bool dst_wireless);
 
     TxQueue &txQueue(unsigned server_id);
+
+    /** Deliver the message parked under @p slot. */
+    void land(std::uint32_t slot);
 
     SimContext ctx_;
     NetworkConfig config_;
     Rng rng_;
-    std::unordered_map<unsigned, TxQueue> txQueues_;
-    std::unordered_map<unsigned, bool> wireless_;
+    /** NIC transmit queues, indexed by server id (grown on use). */
+    std::vector<TxQueue> txQueues_;
+    /** Wireless flags, indexed by server id (grown on attach). */
+    std::vector<bool> wireless_;
+    /** Messages in flight, parked by the id their landing event holds. */
+    SlotTable<InFlight> inflight_;
     std::function<bool(unsigned, unsigned)> dropHook_;
     std::uint64_t messages_ = 0;
     Bytes bytes_ = 0;

@@ -18,7 +18,7 @@ ConnectionPool::ConnectionPool(unsigned max_connections, bool blocking,
 }
 
 ConnectionPool::Ticket
-ConnectionPool::acquire(std::function<void()> granted)
+ConnectionPool::acquire(Callback<void()> granted)
 {
     if (!blocking_) {
         ++inUse_;
@@ -44,9 +44,9 @@ ConnectionPool::cancel(Ticket ticket)
 {
     if (ticket == kGrantedImmediately)
         return false;
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-        if (it->ticket == ticket) {
-            waiters_.erase(it);
+    for (std::size_t i = 0; i < waiters_.size(); ++i) {
+        if (waiters_[i].ticket == ticket) {
+            waiters_.erase(i);
             return true;
         }
     }

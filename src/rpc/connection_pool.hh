@@ -15,8 +15,9 @@
 #define UQSIM_RPC_CONNECTION_POOL_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+
+#include "core/callback.hh"
+#include "core/ring.hh"
 
 namespace uqsim {
 class Counter;
@@ -54,7 +55,7 @@ class ConnectionPool
      * @return kGrantedImmediately if @p granted already ran, else a
      *         ticket for cancel().
      */
-    Ticket acquire(std::function<void()> granted);
+    Ticket acquire(Callback<void()> granted);
 
     /**
      * Abandon a parked acquire. @return true if the waiter was still
@@ -82,14 +83,14 @@ class ConnectionPool
     struct Waiter
     {
         Ticket ticket = 0;
-        std::function<void()> granted;
+        Callback<void()> granted;
     };
 
     unsigned maxConnections_;
     bool blocking_;
     Counter *blockedMetric_ = nullptr;
     unsigned inUse_ = 0;
-    std::deque<Waiter> waiters_;
+    Ring<Waiter> waiters_;
     Ticket nextTicket_ = 1;
     std::size_t peakWaiting_ = 0;
     std::uint64_t blockedAcquires_ = 0;

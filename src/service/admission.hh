@@ -33,10 +33,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "core/ring.hh"
 #include "core/types.hh"
 
 namespace uqsim::service {
@@ -301,7 +301,7 @@ class AdmissionQueue
     AdmissionPolicy pol_;
     unsigned capacity_;
     TokenBucket bucket_;
-    std::array<std::deque<Item>, kQosClassCount> q_;
+    std::array<Ring<Item>, kQosClassCount> q_;
     std::array<unsigned, kQosClassCount> credit_{};
     std::size_t total_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "service/app.hh"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -8,71 +9,21 @@
 
 namespace uqsim::service {
 
-/**
- * Per-RPC handler execution context: the request being served at one
- * instance, plus the span under construction. Shared between the stage
- * interpreter and the reply continuation.
- */
-struct HandlerCtx
+Microservice *
+AttemptState::callerSvc() const
 {
-    Instance *inst = nullptr;
-    RequestPtr req;
-    trace::Span span;
-    /** Reply continuation installed by rpcAttempt. */
-    std::function<void(std::shared_ptr<HandlerCtx>, RpcStatus)> respond;
-};
+    return call.callerInst ? &call.callerInst->svc() : nullptr;
+}
 
-/**
- * Shared state of one RPC attempt. Settling (success, timeout, crash,
- * refusal) happens exactly once through App::settleAttempt; the
- * `settled` flag is shared with the server-side Arrival so zombie
- * continuations — late replies, deliveries of abandoned requests —
- * can detect they lost the race and quietly stop.
- */
-struct AttemptState
+void
+AttemptState::unregister()
 {
-    std::shared_ptr<bool> settled = std::make_shared<bool>(false);
-    /** The call this attempts, and its sizes on the wire. */
-    App::RpcCall call;
-    RpcBytes bytes;
-    unsigned attemptNo = 1;
-    rpc::ConnectionPool *pool = nullptr;
-    rpc::ConnectionPool::Ticket ticket =
-        rpc::ConnectionPool::kGrantedImmediately;
-    bool poolAcquired = false;
-    bool poolReleased = false;
-    EventHandle timeoutEv;
-    EventHandle acquireEv;
-    /** Target instance while registered for crash tracking. */
-    Instance *target = nullptr;
-    bool registered = false;
-    Tick tStart = 0;
-    Tick callerNet = 0;
-    RpcDone done;
-
-    /** The calling tier (null for the end-user client). */
-    Microservice *
-    callerSvc() const
-    {
-        return call.callerInst ? &call.callerInst->svc() : nullptr;
-    }
-
-    /** Leave the target's crash registry (a no-op unless on it). */
-    void
-    unregister()
-    {
-        if (!registered)
-            return;
-        registered = false;
-        auto &v = target->inflight_;
-        v.erase(std::remove(v.begin(), v.end(), this), v.end());
-    }
-
-    // An attempt can die without settling (e.g. its message was
-    // dropped by a partition and no timeout was set); keep the crash
-    // registry free of dangling pointers regardless.
-    ~AttemptState() { unregister(); }
-};
+    if (!registered)
+        return;
+    registered = false;
+    auto &v = target->inflight_;
+    v.erase(std::remove(v.begin(), v.end(), this), v.end());
+}
 
 namespace {
 
@@ -95,6 +46,13 @@ joinCall(trace::Span &span, RpcStatus status, Tick wall, Tick caller_net)
     span.networkTime += caller_net;
     span.downstreamWait += wall > caller_net ? wall - caller_net : 0;
     failSpan(span, status);
+}
+
+/** The handler stage @p ctx is interpreting. */
+const Stage &
+currentStage(const HandlerCtx &ctx)
+{
+    return ctx.inst->svc().def().handler.stages[ctx.stage];
 }
 
 } // namespace
@@ -291,7 +249,7 @@ App::failInFlight(Instance &inst)
     std::vector<AttemptState *> victims = std::move(inst.inflight_);
     inst.inflight_.clear();
     for (AttemptState *as : victims) {
-        if (*as->settled)
+        if (as->settled)
             continue;
         as->registered = false; // already detached from the registry
         rpcCrashedInFlight_->inc();
@@ -533,12 +491,19 @@ App::qosClassOf(unsigned query_type) const
 void
 App::settleAttempt(AttemptState &as, RpcStatus status)
 {
-    if (*as.settled)
+    if (as.settled)
         return;
-    *as.settled = true;
+    as.settled = true;
     as.timeoutEv.cancel();
     as.acquireEv.cancel();
     as.unregister();
+    // A cross-shard wait ends here, so a late reply finds its slot
+    // gone. The slot's handle dies last, after the caller continued.
+    AttemptRef hold;
+    if (as.awaitSlot != AttemptState::kNoSlot) {
+        hold = std::move(awaiting_.take(as.awaitSlot).as);
+        as.awaitSlot = AttemptState::kNoSlot;
+    }
     if (as.poolAcquired) {
         // Mirrors the legacy completion order: connection back first,
         // then the caller continues. A timed-out attempt models its
@@ -550,8 +515,13 @@ App::settleAttempt(AttemptState &as, RpcStatus status)
     } else if (as.ticket != rpc::ConnectionPool::kGrantedImmediately) {
         as.pool->cancel(as.ticket);
     }
+    const Tick wall = ctx_.now() - as.tStart;
+    if (as.resilient) {
+        retryOrFinish(as, status, wall);
+        return;
+    }
     auto done = std::move(as.done);
-    done(status, ctx_.now() - as.tStart, as.callerNet);
+    done(status, wall, as.callerNet);
 }
 
 void
@@ -604,7 +574,8 @@ App::rpcCall(RpcCall call, RpcDone done)
         // Legacy fire-and-wait path: no gates, no retries, no extra
         // events — byte-identical execution to the pre-resilience
         // runtime (the digest tests depend on this).
-        rpcAttempt(call, 1, std::move(done));
+        startAttempt(newAttempt(std::move(call), 1, nullptr, false,
+                                std::move(done)));
         return;
     }
     rpc::CircuitBreaker *br =
@@ -622,11 +593,11 @@ App::rpcCall(RpcCall call, RpcDone done)
     // capped at budgetRatio of the offered load.
     if (pol.retry.enabled() && pol.retry.budgetRatio > 0.0)
         call.target->retryBudget().onAttempt();
-    retryAttempt(std::move(call), br, 1, std::move(done));
+    startAttempt(newAttempt(std::move(call), 1, br, true, std::move(done)));
 }
 
 void
-App::stageCall(const std::shared_ptr<HandlerCtx> &ctx, const Stage &stage,
+App::stageCall(const HandlerRef &ctx, const Stage &stage,
                Microservice &target, unsigned slot, RpcDone done,
                data::RouteHint route)
 {
@@ -661,63 +632,63 @@ App::gateAttempt(const Request &req, rpc::CircuitBreaker *br)
 }
 
 void
-App::retryAttempt(RpcCall call, rpc::CircuitBreaker *br, unsigned attempt_no,
-                  RpcDone done)
+App::retryOrFinish(AttemptState &as, RpcStatus status, Tick wall)
 {
-    const Tick attempt_start = ctx_.now();
-    rpcAttempt(call, attempt_no,
-               [this, call, br, attempt_no, attempt_start,
-                done = std::move(done)](RpcStatus status, Tick wall,
-                                        Tick caller_net) mutable {
-        const Tick now = ctx_.now();
-        if (br)
-            br->record(now, status == RpcStatus::Ok);
-        if (status == RpcStatus::Ok) {
-            done(status, wall, caller_net);
+    const Tick now = ctx_.now();
+    if (as.breaker)
+        as.breaker->record(now, status == RpcStatus::Ok);
+    if (status == RpcStatus::Ok) {
+        auto done = std::move(as.done);
+        done(status, wall, as.callerNet);
+        return;
+    }
+    const RpcCall &call = as.call;
+    const unsigned attempt_no = as.attemptNo;
+    rpcErrors_->inc();
+    recordErrorSpan(call.req, call.parentSpan, *call.target, as.tStart,
+                    attempt_no, status);
+
+    const rpc::RetryPolicy &rp = call.target->def().resilience.retry;
+    bool retry = rp.enabled() && attempt_no < rp.maxAttempts &&
+                 status != RpcStatus::DeadlineExceeded;
+    if (retry && call.req->deadline && now >= call.req->deadline)
+        retry = false;
+    if (retry && rp.budgetRatio > 0.0 &&
+        !call.target->retryBudget().tryWithdraw()) {
+        rpcRetryBudgetExhausted_->inc();
+        retry = false;
+    }
+    if (!retry) {
+        auto done = std::move(as.done);
+        done(status, wall, as.callerNet);
+        return;
+    }
+    rpcRetries_->inc();
+    ++call.req->retries;
+
+    // Exponential backoff, decorrelated by jitter drawn from the
+    // dedicated resilience stream (never the model RNG).
+    Tick backoff = rp.baseBackoff;
+    for (unsigned i = 1; i < attempt_no && backoff < rp.maxBackoff; ++i)
+        backoff *= 2;
+    backoff = std::min(backoff, rp.maxBackoff);
+    if (rp.jitter > 0.0 && backoff > 0) {
+        const double lo = std::clamp(1.0 - rp.jitter, 0.0, 1.0);
+        backoff = static_cast<Tick>(static_cast<double>(backoff) *
+                                    resilienceRng_.uniform(lo, 1.0));
+    }
+    // The next attempt takes over the call and its completion now and
+    // starts once the backoff has passed the gate.
+    ctx_.schedule(backoff, [this, next = newAttempt(call, attempt_no + 1,
+                                                    as.breaker, true,
+                                                    std::move(as.done))]() {
+        const RpcStatus gate = gateAttempt(*next->call.req, next->breaker);
+        if (gate != RpcStatus::Ok) {
+            auto done = std::move(next->done);
+            done(gate, 0, 0);
             return;
         }
-        rpcErrors_->inc();
-        recordErrorSpan(call.req, call.parentSpan, *call.target,
-                        attempt_start, attempt_no, status);
-
-        const rpc::RetryPolicy &rp = call.target->def().resilience.retry;
-        bool retry = rp.enabled() && attempt_no < rp.maxAttempts &&
-                     status != RpcStatus::DeadlineExceeded;
-        if (retry && call.req->deadline && now >= call.req->deadline)
-            retry = false;
-        if (retry && rp.budgetRatio > 0.0 &&
-            !call.target->retryBudget().tryWithdraw()) {
-            rpcRetryBudgetExhausted_->inc();
-            retry = false;
-        }
-        if (!retry) {
-            done(status, wall, caller_net);
-            return;
-        }
-        rpcRetries_->inc();
-        ++call.req->retries;
-
-        // Exponential backoff, decorrelated by jitter drawn from the
-        // dedicated resilience stream (never the model RNG).
-        Tick backoff = rp.baseBackoff;
-        for (unsigned i = 1; i < attempt_no && backoff < rp.maxBackoff; ++i)
-            backoff *= 2;
-        backoff = std::min(backoff, rp.maxBackoff);
-        if (rp.jitter > 0.0 && backoff > 0) {
-            const double lo = std::clamp(1.0 - rp.jitter, 0.0, 1.0);
-            backoff = static_cast<Tick>(static_cast<double>(backoff) *
-                                        resilienceRng_.uniform(lo, 1.0));
-        }
-        ctx_.schedule(backoff, [this, call = std::move(call), br, attempt_no,
-                                done = std::move(done)]() mutable {
-            const RpcStatus gate = gateAttempt(*call.req, br);
-            if (gate != RpcStatus::Ok) {
-                done(gate, 0, 0);
-                return;
-            }
-            retryAttempt(std::move(call), br, attempt_no + 1,
-                         std::move(done));
-        });
+        startAttempt(next);
     });
 }
 
@@ -725,8 +696,7 @@ template <typename Done>
 void
 App::netLeg(cpu::Server &server, Microservice *svc,
             const rpc::ProtocolModel &proto, LegDir dir, Bytes payload,
-            Bytes wire, RequestPtr req, std::shared_ptr<AttemptState> as,
-            Done done)
+            Bytes wire, Request &req, AttemptState *as, Done done)
 {
     const net::FpgaOffloadModel &fpga = config_.fpga;
     const bool send = dir == LegDir::Send;
@@ -741,35 +711,36 @@ App::netLeg(cpu::Server &server, Microservice *svc,
                             static_cast<double>(std::max<Cycles>(1, cycles));
     const double ipc = server.kernelIpc();
     chargeNetwork(svc, static_cast<double>(cycles), ipc);
-    server.execute(cycles, ipc,
-                   [req = std::move(req), as = std::move(as), tcp_frac,
-                    done = std::move(done)](Tick busy) mutable {
-        if (as && *as->settled)
+    auto busy_done = [rq = &req, as, tcp_frac,
+                      done = std::move(done)](Tick busy) mutable {
+        if (as && as->settled)
             return;
-        req->networkTime += busy;
-        req->tcpProcTime +=
+        rq->networkTime += busy;
+        rq->tcpProcTime +=
             static_cast<Tick>(tcp_frac * static_cast<double>(busy));
         if (as)
             as->callerNet += busy;
         done(busy);
-    });
+    };
+    static_assert(cpu::TaskDone::storesInline<decltype(busy_done)>,
+                  "a kernel leg's completion must not allocate");
+    server.execute(cycles, ipc, std::move(busy_done));
 }
 
 template <typename Done>
 void
-App::wireLeg(unsigned from, unsigned to, Bytes wire,
-             std::shared_ptr<AttemptState> as, Done done)
+App::wireLeg(unsigned from, unsigned to, Bytes wire, const AttemptRef &as,
+             Done done)
 {
     // With the offload, the FPGA pipeline sits between wire and host.
     const Tick fpga_lat =
         config_.fpga.enabled ? config_.fpga.pipelineLatency : 0;
-    network_.send(from, to, wire,
-                  [this, as = std::move(as), fpga_lat,
-                   done = std::move(done)](Tick queueing_tx,
-                                           Tick prop) mutable {
-        auto land = [as, queueing_tx, prop, fpga_lat,
+    auto delivered = [this, as, fpga_lat,
+                      done = std::move(done)](Tick queueing_tx,
+                                              Tick prop) mutable {
+        auto land = [as = std::move(as), queueing_tx, prop, fpga_lat,
                      done = std::move(done)]() mutable {
-            if (*as->settled)
+            if (as->settled)
                 return; // the caller moved on while this was in flight
             Request &req = *as->call.req;
             req.networkTime += queueing_tx + fpga_lat;
@@ -782,28 +753,41 @@ App::wireLeg(unsigned from, unsigned to, Bytes wire,
             ctx_.schedule(fpga_lat, std::move(land));
         else
             land();
-    });
+    };
+    static_assert(net::DeliverFn::storesInline<decltype(delivered)>,
+                  "a wire leg's delivery must not allocate");
+    network_.send(from, to, wire, std::move(delivered));
+}
+
+AttemptRef
+App::newAttempt(RpcCall call, unsigned attempt_no, rpc::CircuitBreaker *br,
+                bool resilient, RpcDone done)
+{
+    AttemptRef as = attempts_.make();
+    as->call = std::move(call);
+    as->attemptNo = attempt_no;
+    as->resilient = resilient;
+    as->breaker = br;
+    as->done = std::move(done);
+    return as;
 }
 
 void
-App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
+App::startAttempt(const AttemptRef &as)
 {
-    const ServiceDef &def = call.target->def();
-    const QueryType &qt = queryTypes_[call.req->queryType];
+    const RpcCall &c = as->call;
+    const ServiceDef &def = c.target->def();
+    const QueryType &qt = queryTypes_[c.req->queryType];
 
-    auto as = std::make_shared<AttemptState>();
-    as->call = call;
-    as->attemptNo = attempt_no;
     as->bytes.reqPayload =
-        (call.reqBytes ? call.reqBytes : def.defaultRequestBytes) +
-        (call.carriesMedia ? qt.extraPayloadBytes : 0);
+        (c.reqBytes ? c.reqBytes : def.defaultRequestBytes) +
+        (c.carriesMedia ? qt.extraPayloadBytes : 0);
     as->bytes.respPayload =
-        call.respBytes ? call.respBytes : def.defaultResponseBytes;
+        c.respBytes ? c.respBytes : def.defaultResponseBytes;
     as->bytes.reqWire = def.protocol.wireSize(as->bytes.reqPayload);
     as->bytes.respWire = def.protocol.wireSize(as->bytes.respPayload);
-    as->pool = &call.edge->poolTo(*call.target, poolBlocked_);
+    as->pool = &c.edge->poolTo(*c.target, poolBlocked_);
     as->tStart = ctx_.now();
-    as->done = std::move(done);
 
     // Per-attempt timeout, capped to the remaining deadline budget so
     // a deep call chain never waits past its caller's patience. When
@@ -811,29 +795,27 @@ App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
     // DeadlineExceeded, not a generic timeout.
     const rpc::ResiliencePolicy &pol = def.resilience;
     Tick eff_timeout = pol.timeout;
-    bool deadline_bound = false;
-    if (call.req->deadline) {
-        const Tick remaining = call.req->deadline > as->tStart
-                                   ? call.req->deadline - as->tStart
+    if (c.req->deadline) {
+        const Tick remaining = c.req->deadline > as->tStart
+                                   ? c.req->deadline - as->tStart
                                    : 1;
         if (eff_timeout == 0 || remaining < eff_timeout) {
             eff_timeout = remaining;
-            deadline_bound = true;
+            as->deadlineBound = true;
         }
     }
     if (eff_timeout > 0) {
-        as->timeoutEv =
-            ctx_.schedule(eff_timeout, [this, as, deadline_bound]() {
-                if (*as->settled)
-                    return;
-                if (deadline_bound) {
-                    rpcDeadlineExceeded_->inc();
-                    settleAttempt(*as, RpcStatus::DeadlineExceeded);
-                } else {
-                    rpcTimeouts_->inc();
-                    settleAttempt(*as, RpcStatus::Timeout);
-                }
-            });
+        as->timeoutEv = ctx_.schedule(eff_timeout, [this, as]() {
+            if (as->settled)
+                return;
+            if (as->deadlineBound) {
+                rpcDeadlineExceeded_->inc();
+                settleAttempt(*as, RpcStatus::DeadlineExceeded);
+            } else {
+                rpcTimeouts_->inc();
+                settleAttempt(*as, RpcStatus::Timeout);
+            }
+        });
     }
 
     as->ticket = as->pool->acquire([this, as]() {
@@ -842,16 +824,16 @@ App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
         const RpcCall &c = as->call;
         netLeg(cluster_.server(c.callerServer), as->callerSvc(),
                c.target->def().protocol, LegDir::Send, as->bytes.reqPayload,
-               as->bytes.reqWire, c.req, as,
+               as->bytes.reqWire, *c.req, as.get(),
                [this, as](Tick) { routeAttempt(as); });
     });
 
     if (as->ticket != rpc::ConnectionPool::kGrantedImmediately &&
-        pol.acquireTimeout > 0 && !*as->settled) {
+        pol.acquireTimeout > 0 && !as->settled) {
         // Parked behind a saturated HTTP/1.1 pool: give up after the
         // configured wait instead of parking forever (Fig 17B's hang).
         as->acquireEv = ctx_.schedule(pol.acquireTimeout, [this, as]() {
-            if (as->poolAcquired || *as->settled)
+            if (as->poolAcquired || as->settled)
                 return;
             rpcPoolTimeouts_->inc();
             settleAttempt(*as, RpcStatus::PoolTimeout);
@@ -860,7 +842,7 @@ App::rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done)
 }
 
 void
-App::routeAttempt(const std::shared_ptr<AttemptState> &as)
+App::routeAttempt(const AttemptRef &as)
 {
     Microservice &tgt = *as->call.target;
     // Partitioned deployment: a target homed on another shard is a
@@ -899,26 +881,31 @@ App::routeAttempt(const std::shared_ptr<AttemptState> &as)
     } else {
         ti = &tgt.selectInstance(*as->call.req);
     }
+    as->target = ti;
     if (crashTracking_) {
-        as->target = ti;
         as->registered = true;
         ti->inflight_.push_back(as.get());
     }
 
     wireLeg(as->call.callerServer, ti->server().id(), as->bytes.reqWire, as,
-            [this, as, ti]() {
-        serveHop(*ti, as->call.req, as->call.parentSpan, as->attemptNo,
-                 as->bytes, as->settled, [this, as, ti](RpcStatus status) {
-            // Error replies travel too: a refusal is a message.
-            wireLeg(ti->server().id(), as->call.callerServer,
-                    as->bytes.respWire, as,
-                    [this, as, status]() { receiveReply(as, status, 0); });
-        });
-    });
+            [this, as]() { serveLocal(as); });
 }
 
 void
-App::remoteAttempt(const std::shared_ptr<AttemptState> &as)
+App::serveLocal(const AttemptRef &as)
+{
+    HandlerRef ctx = handlers_.make();
+    ctx->inst = as->target;
+    ctx->req = as->call.req;
+    ctx->caller = as;
+    ctx->parentSpan = as->call.parentSpan;
+    ctx->attemptNo = as->attemptNo;
+    ctx->bytes = as->bytes;
+    serveHop(ctx);
+}
+
+void
+App::remoteAttempt(const AttemptRef &as)
 {
     const RpcCall &c = as->call;
     Request &req = *c.req;
@@ -933,8 +920,15 @@ App::remoteAttempt(const std::shared_ptr<AttemptState> &as)
     req.wireTime += fwd.second;
     as->callerNet += fwd.first;
 
+    // The attempt waits in a slot of this shard; the other shard only
+    // ever sees the slot's ids.
+    const std::uint64_t tag = ++lastReplyTag_;
+    as->awaitSlot = awaiting_.park(Awaiting{as, tag});
+
     RemoteCall call;
     call.srcShard = ctx_.shard();
+    call.replySlot = as->awaitSlot;
+    call.replyTag = tag;
     call.tier = c.target->orderIndex();
     call.requestId = req.id;
     call.queryType = req.queryType;
@@ -949,52 +943,55 @@ App::remoteAttempt(const std::shared_ptr<AttemptState> &as)
     call.routeIsWrite = c.route.write;
     call.routeStoreAccess = c.route.storeAccess;
 
-    // Runs back on this shard when the home shard posts the delta.
-    auto reply = [this, as](const RemoteDelta &d) {
-        if (*as->settled)
-            return; // late reply; the caller's timeout already won
-        Request &r = *as->call.req;
-        r.networkTime += d.networkTime + d.replyQueueing;
-        r.tcpProcTime += d.tcpProcTime;
-        r.wireTime += d.wireTime;
-        r.appTime += d.appTime;
-        r.queueTime += d.queueTime;
-        r.retries += d.retries;
-        if (d.dropped)
-            r.dropped = true;
-        as->callerNet += d.replyQueueing;
-        receiveReply(as, d.status, d.remoteHit);
-    };
-
     App *peer = peerApps_[home];
     ctx_.postToShard(home, fwd.first + fwd.second,
-                     [peer, call, reply = std::move(reply)]() {
-        peer->serveRemote(call, reply);
-    });
+                     [peer, call]() { peer->serveRemote(call); });
 }
 
 void
-App::receiveReply(const std::shared_ptr<AttemptState> &as, RpcStatus status,
+App::onRemoteReply(std::uint32_t slot, std::uint64_t tag, const RemoteDelta &d)
+{
+    // A late reply: the attempt settled (its timeout won) and gave up
+    // the slot, which may now hold another attempt.
+    if (!awaiting_[slot].as || awaiting_[slot].tag != tag)
+        return;
+    AttemptRef as = std::move(awaiting_.take(slot).as);
+    as->awaitSlot = AttemptState::kNoSlot;
+    Request &r = *as->call.req;
+    r.networkTime += d.networkTime + d.replyQueueing;
+    r.tcpProcTime += d.tcpProcTime;
+    r.wireTime += d.wireTime;
+    r.appTime += d.appTime;
+    r.queueTime += d.queueTime;
+    r.retries += d.retries;
+    if (d.dropped)
+        r.dropped = true;
+    as->callerNet += d.replyQueueing;
+    receiveReply(as, d.status, d.remoteHit);
+}
+
+void
+App::receiveReply(const AttemptRef &as, RpcStatus status,
                   std::uint8_t remote_hit)
 {
+    as->replyStatus = status;
+    as->remoteHit = remote_hit;
     const RpcCall &c = as->call;
     netLeg(cluster_.server(c.callerServer), as->callerSvc(),
            c.target->def().protocol, LegDir::Receive, as->bytes.respPayload,
-           as->bytes.respWire, c.req, as,
-           [this, as, status, remote_hit](Tick) {
+           as->bytes.respWire, *c.req, as.get(), [this, as](Tick) {
         // Published in the same event that settles the attempt:
         // settleAttempt unwinds synchronously into the issuing stage's
         // continuation, so a concurrent sibling's delta cannot
         // overwrite the outcome before it is read.
-        if (remote_hit)
-            as->call.req->remoteHit = remote_hit;
-        settleAttempt(*as, status);
+        if (as->remoteHit)
+            as->call.req->remoteHit = as->remoteHit;
+        settleAttempt(*as, as->replyStatus);
     });
 }
 
 void
-App::serveRemote(const RemoteCall &call,
-                 std::function<void(const RemoteDelta &)> done)
+App::serveRemote(const RemoteCall &call)
 {
     if (call.tier >= serviceOrder_.size())
         fatal("serveRemote: tier index out of range");
@@ -1039,64 +1036,84 @@ App::serveRemote(const RemoteCall &call,
         RemoteDelta d;
         d.remoteHit = remote_hit;
         d.status = key_status;
+        App *peer = peerApps_[call.srcShard];
         ctx_.postToShard(call.srcShard, network_.config().wireLatency,
-                         [done = std::move(done), d]() { done(d); });
+                         [peer, slot = call.replySlot, tag = call.replyTag,
+                          d]() { peer->onRemoteReply(slot, tag, d); });
         return;
     }
 
-    const unsigned callee_server = ti->server().id();
-    serveHop(*ti, rreq, call.parentSpan, call.attemptNo, call.bytes, nullptr,
-             [this, rreq, call, callee_server, remote_hit,
-              done = std::move(done)](RpcStatus status) {
-        // Reply leg: this shard's NIC pays the tx queueing, the wire
-        // pays the inter-shard latency — so the post delay is always
-        // >= the engine lookahead.
-        const std::pair<Tick, Tick> rep =
-            network_.crossShardDelay(callee_server, call.bytes.respWire);
-        RemoteDelta d;
-        d.networkTime = rreq->networkTime;
-        d.tcpProcTime = rreq->tcpProcTime;
-        d.wireTime = rreq->wireTime + rep.second;
-        d.appTime = rreq->appTime;
-        d.queueTime = rreq->queueTime;
-        d.replyQueueing = rep.first;
-        d.retries = rreq->retries;
-        d.remoteHit = remote_hit;
-        d.dropped = rreq->dropped;
-        d.status = status;
-        ctx_.postToShard(call.srcShard, rep.first + rep.second,
-                         [done, d]() { done(d); });
+    HandlerRef ctx = handlers_.make();
+    ctx->inst = ti;
+    ctx->req = std::move(rreq);
+    ctx->parentSpan = call.parentSpan;
+    ctx->attemptNo = call.attemptNo;
+    ctx->bytes = call.bytes;
+    ctx->remote = true;
+    ctx->replyShard = call.srcShard;
+    ctx->replySlot = call.replySlot;
+    ctx->replyTag = call.replyTag;
+    ctx->remoteHit = remote_hit;
+    serveHop(ctx);
+}
+
+void
+App::serveHop(const HandlerRef &ctx)
+{
+    Instance &inst = *ctx->inst;
+    netLeg(inst.server(), &inst.svc(), inst.svc().def().protocol,
+           LegDir::Receive, ctx->bytes.reqPayload, ctx->bytes.reqWire,
+           *ctx->req, nullptr,
+           [this, ctx](Tick recv_busy) { deliverToInstance(ctx, recv_busy); });
+}
+
+void
+App::respond(const HandlerRef &ctx, RpcStatus status)
+{
+    ctx->replyStatus = status;
+    Instance &inst = *ctx->inst;
+    netLeg(inst.server(), &inst.svc(), inst.svc().def().protocol,
+           LegDir::Send, ctx->bytes.respPayload, ctx->bytes.respWire,
+           *ctx->req, nullptr, [this, ctx](Tick reply_busy) {
+        if (ctx->spanOpen)
+            closeSpan(*ctx, ctx->replyStatus, reply_busy);
+        replyToCaller(ctx);
     });
 }
 
 void
-App::serveHop(Instance &inst, RequestPtr req, trace::SpanId parent_span,
-              unsigned attempt_no, const RpcBytes &bytes,
-              std::shared_ptr<bool> abandoned,
-              std::function<void(RpcStatus)> reply)
+App::replyToCaller(const HandlerRef &ctx)
 {
-    Instance *ti = &inst;
-    netLeg(inst.server(), &inst.svc(), inst.svc().def().protocol,
-           LegDir::Receive, bytes.reqPayload, bytes.reqWire, req, nullptr,
-           [this, ti, req, parent_span, attempt_no, bytes,
-            abandoned = std::move(abandoned),
-            reply = std::move(reply)](Tick recv_busy) mutable {
-        // Runs once the handler, or a refusal at arrival, is done.
-        auto respond = [this, ti, req, bytes, reply = std::move(reply)](
-                           std::shared_ptr<HandlerCtx> ctx,
-                           RpcStatus status) mutable {
-            netLeg(ti->server(), &ti->svc(), ti->svc().def().protocol,
-                   LegDir::Send, bytes.respPayload, bytes.respWire, req,
-                   nullptr,
-                   [this, ctx = std::move(ctx), status,
-                    reply = std::move(reply)](Tick reply_busy) {
-                if (ctx)
-                    closeSpan(*ctx, status, reply_busy);
-                reply(status);
-            });
-        };
-        deliverToInstance(*ti, req, parent_span, recv_busy, attempt_no,
-                          std::move(abandoned), std::move(respond));
+    const unsigned callee_server = ctx->inst->server().id();
+    if (!ctx->remote) {
+        // Error replies travel too: a refusal is a message.
+        const AttemptRef &as = ctx->caller;
+        as->replyStatus = ctx->replyStatus;
+        wireLeg(callee_server, as->call.callerServer, as->bytes.respWire, as,
+                [this, as]() { receiveReply(as, as->replyStatus, 0); });
+        return;
+    }
+    // Reply leg: this shard's NIC pays the tx queueing, the wire pays
+    // the inter-shard latency — so the post delay is always >= the
+    // engine lookahead.
+    const std::pair<Tick, Tick> rep =
+        network_.crossShardDelay(callee_server, ctx->bytes.respWire);
+    const Request &rreq = *ctx->req;
+    RemoteDelta d;
+    d.networkTime = rreq.networkTime;
+    d.tcpProcTime = rreq.tcpProcTime;
+    d.wireTime = rreq.wireTime + rep.second;
+    d.appTime = rreq.appTime;
+    d.queueTime = rreq.queueTime;
+    d.replyQueueing = rep.first;
+    d.retries = rreq.retries;
+    d.remoteHit = ctx->remoteHit;
+    d.dropped = rreq.dropped;
+    d.status = ctx->replyStatus;
+    App *peer = peerApps_[ctx->replyShard];
+    ctx_.postToShard(ctx->replyShard, rep.first + rep.second,
+                     [peer, slot = ctx->replySlot, tag = ctx->replyTag, d]() {
+        peer->onRemoteReply(slot, tag, d);
     });
 }
 
@@ -1120,29 +1137,28 @@ App::closeSpan(HandlerCtx &ctx, RpcStatus status, Tick reply_busy)
 }
 
 void
-App::deliverToInstance(
-    Instance &inst, RequestPtr req, trace::SpanId parent_span,
-    Tick pre_network, unsigned attempt_no, std::shared_ptr<bool> abandoned,
-    std::function<void(std::shared_ptr<HandlerCtx>, RpcStatus)> respond)
+App::deliverToInstance(const HandlerRef &ctx, Tick pre_network)
 {
-    if (abandoned && *abandoned)
+    if (ctx->abandoned())
         return; // caller settled while the request was on the wire
+    Instance &inst = *ctx->inst;
+    Request &req = *ctx->req;
 
     // Injected transient errors fail the request at arrival: the
     // server spends reply-path cycles sending the error back, which is
     // what a process returning 5xx costs.
     if (faultHook_ && faultHook_->shouldFailRequest(inst.svc())) {
         ++inst.failed_;
-        respond(nullptr, RpcStatus::Error);
+        respond(ctx, RpcStatus::Error);
         return;
     }
 
     // Deadline admission: never queue work whose caller chain has
     // already given up (deadline propagation).
-    if (req->deadline && ctx_.now() >= req->deadline) {
+    if (req.deadline && ctx_.now() >= req.deadline) {
         rpcDeadlineExceeded_->inc();
         ++inst.failed_;
-        respond(nullptr, RpcStatus::DeadlineExceeded);
+        respond(ctx, RpcStatus::DeadlineExceeded);
         return;
     }
 
@@ -1153,7 +1169,7 @@ App::deliverToInstance(
         // run while it is installed. Every refusal is a typed
         // fast-reject on the reply wire — the caller's breaker and
         // retry budget see an immediate error, not a timeout.
-        cls = qosClassOf(req->queryType);
+        cls = qosClassOf(req.queryType);
         const auto ci = static_cast<std::size_t>(cls);
         switch (inst.admission_->offer(cls, ctx_.now())) {
         case AdmissionVerdict::Admit:
@@ -1163,7 +1179,7 @@ App::deliverToInstance(
             ++inst.failed_;
             if (obsTap_)
                 obsTap_->onAdmissionReject(inst.svc());
-            respond(nullptr, RpcStatus::Throttled);
+            respond(ctx, RpcStatus::Throttled);
             return;
         case AdmissionVerdict::Shed:
             admShed_[ci]->inc();
@@ -1171,14 +1187,14 @@ App::deliverToInstance(
             ++inst.failed_;
             if (obsTap_)
                 obsTap_->onAdmissionReject(inst.svc());
-            respond(nullptr, RpcStatus::Shed);
+            respond(ctx, RpcStatus::Shed);
             return;
         case AdmissionVerdict::Overflow:
             admOverflow_[ci]->inc();
             ++inst.dropped_;
             if (obsTap_)
                 obsTap_->onAdmissionReject(inst.svc());
-            respond(nullptr, RpcStatus::Overflow);
+            respond(ctx, RpcStatus::Overflow);
             return;
         }
         admAdmitted_[ci]->inc();
@@ -1191,7 +1207,7 @@ App::deliverToInstance(
             // cliff.
             rpcShed_->inc();
             ++inst.failed_;
-            respond(nullptr, RpcStatus::Shed);
+            respond(ctx, RpcStatus::Shed);
             return;
         }
         if (inst.queue_.size() >= inst.svc().def().queueCapacity) {
@@ -1199,29 +1215,23 @@ App::deliverToInstance(
             if (!pol.active()) {
                 // Legacy queue overflow: mark the end-to-end request
                 // dropped and unwind through the normal reply path.
-                req->dropped = true;
-                respond(nullptr, RpcStatus::Ok);
+                req.dropped = true;
+                respond(ctx, RpcStatus::Ok);
             } else {
                 // Under a resilience policy, overflow is a retryable
                 // per-attempt error rather than a silent request kill.
-                respond(nullptr, RpcStatus::Overflow);
+                respond(ctx, RpcStatus::Overflow);
             }
             return;
         }
     }
 
-    Instance::Arrival arrival;
-    arrival.req = std::move(req);
-    arrival.parentSpan = parent_span;
-    arrival.enqueued = ctx_.now();
-    arrival.preNetworkTime = pre_network;
-    arrival.attempt = static_cast<std::uint8_t>(std::min(attempt_no, 255u));
-    arrival.abandoned = std::move(abandoned);
-    arrival.respondCtx = std::move(respond);
+    ctx->enqueued = ctx_.now();
+    ctx->preNetworkTime = pre_network;
     if (inst.admission_)
-        inst.admission_->push(cls, std::move(arrival));
+        inst.admission_->push(cls, ctx);
     else
-        inst.queue_.push_back(std::move(arrival));
+        inst.queue_.push_back(ctx);
     maybeStartHandling(inst);
 }
 
@@ -1229,19 +1239,19 @@ void
 App::maybeStartHandling(Instance &inst)
 {
     while (inst.freeThreads_ > 0) {
-        Instance::Arrival a;
+        HandlerRef ctx;
         QosClass cls = QosClass::UserFacing;
         if (inst.admission_) {
             // Weighted round robin across the class queues.
-            if (!inst.admission_->pop(cls, a))
+            if (!inst.admission_->pop(cls, ctx))
                 break;
         } else {
             if (inst.queue_.empty())
                 break;
-            a = std::move(inst.queue_.front());
+            ctx = std::move(inst.queue_.front());
             inst.queue_.pop_front();
         }
-        if (a.abandoned && *a.abandoned) {
+        if (ctx->abandoned()) {
             // The caller timed out while this sat in the queue; skip
             // it without burning a worker thread on dead work.
             rpcAbandonedArrivals_->inc();
@@ -1251,47 +1261,57 @@ App::maybeStartHandling(Instance &inst)
             admServed_[static_cast<std::size_t>(cls)]->inc();
         --inst.freeThreads_;
 
-        auto ctx = std::make_shared<HandlerCtx>();
-        ctx->inst = &inst;
-        ctx->req = a.req;
-        ctx->respond = std::move(a.respondCtx);
-        ctx->span.traceId = a.req->traceId;
-        ctx->span.spanId = ids_.nextSpan();
-        ctx->span.parentSpanId = a.parentSpan;
-        ctx->span.service = inst.svc().traceServiceId();
-        ctx->span.instance = inst.index();
-        ctx->span.queryType = a.req->queryType;
-        ctx->span.attempt = a.attempt;
-        ctx->span.qosClass = static_cast<std::uint8_t>(cls);
+        const Request &req = *ctx->req;
+        trace::Span &span = ctx->span;
+        ctx->spanOpen = true;
+        span.traceId = req.traceId;
+        span.spanId = ids_.nextSpan();
+        span.parentSpanId = ctx->parentSpan;
+        span.service = inst.svc().traceServiceId();
+        span.instance = inst.index();
+        span.queryType = req.queryType;
+        span.attempt =
+            static_cast<std::uint8_t>(std::min(ctx->attemptNo, 255u));
+        span.qosClass = static_cast<std::uint8_t>(cls);
         // Arrival is timestamped before kernel receive processing.
-        ctx->span.start = a.enqueued >= a.preNetworkTime
-                              ? a.enqueued - a.preNetworkTime
-                              : 0;
-        ctx->span.queueTime = ctx_.now() - a.enqueued;
-        ctx->span.networkTime = a.preNetworkTime;
-        ctx->req->queueTime += ctx->span.queueTime;
+        span.start = ctx->enqueued >= ctx->preNetworkTime
+                         ? ctx->enqueued - ctx->preNetworkTime
+                         : 0;
+        span.queueTime = ctx_.now() - ctx->enqueued;
+        span.networkTime = ctx->preNetworkTime;
+        ctx->req->queueTime += span.queueTime;
 
-        const std::uint64_t epoch = inst.crashEpoch_;
-        runStage(ctx, 0, [this, ctx, epoch]() {
-            Instance &done_inst = *ctx->inst;
-            if (done_inst.crashEpoch_ != epoch) {
-                // The instance crashed mid-handler: the process is
-                // gone, no reply is ever sent. The caller was settled
-                // by the crash path.
-                return;
-            }
-            ++done_inst.freeThreads_;
-            // The reply path does not hold a worker thread; pull the
-            // next queued request in before responding.
-            maybeStartHandling(done_inst);
-            ctx->respond(ctx, ctx->span.statusEnum());
-        });
+        ctx->epoch = inst.crashEpoch_;
+        runStage(ctx, 0);
     }
 }
 
 void
-App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
-              std::function<void()> done)
+App::finishHandler(const HandlerRef &ctx)
+{
+    Instance &inst = *ctx->inst;
+    if (inst.crashEpoch_ != ctx->epoch) {
+        // The instance crashed mid-handler: the process is gone, no
+        // reply is ever sent. The caller was settled by the crash path.
+        return;
+    }
+    ++inst.freeThreads_;
+    // The reply path does not hold a worker thread; pull the next
+    // queued request in before responding.
+    maybeStartHandling(inst);
+    respond(ctx, ctx->span.statusEnum());
+}
+
+void
+App::finishCompute(const HandlerRef &ctx, Tick t)
+{
+    ctx->span.appTime += t;
+    ctx->req->appTime += t;
+    nextStage(ctx);
+}
+
+void
+App::runStage(const HandlerRef &ctx, std::size_t idx)
 {
     Microservice &svc = ctx->inst->svc();
     const auto &stages = svc.def().handler.stages;
@@ -1299,21 +1319,19 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
     // the remaining stages would compute on behalf of a request that is
     // already doomed, and the error must surface to the caller now.
     if (ctx->span.status != 0 || idx >= stages.size()) {
-        done();
+        finishHandler(ctx);
         return;
     }
+    ctx->stage = idx;
     const Stage &st = stages[idx];
-    auto next = [this, ctx, idx, done = std::move(done)]() mutable {
-        runStage(ctx, idx + 1, std::move(done));
-    };
 
     const QueryType &qt = queryTypes_[ctx->req->queryType];
     if (!st.onlyForTag.empty() && !qt.hasTag(st.onlyForTag)) {
-        next();
+        nextStage(ctx);
         return;
     }
     if (st.probability < 1.0 && !rng_.bernoulli(st.probability)) {
-        next();
+        nextStage(ctx);
         return;
     }
 
@@ -1333,53 +1351,41 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
             io_cycles / std::max(1e-9, ipc * nominal_ghz));
         chargeCompute(svc, cpu_cycles, ipc);
         server.execute(static_cast<Cycles>(cpu_cycles), ipc,
-                       [this, ctx, io_ns,
-                        next = std::move(next)](Tick busy) mutable {
+                       [this, ctx, io_ns](Tick busy) {
             ctx->inst->cpuBusyTime_ += busy;
-            auto fin = [ctx, busy, io_ns,
-                        next = std::move(next)]() mutable {
-                ctx->span.appTime += busy + io_ns;
-                ctx->req->appTime += busy + io_ns;
-                next();
-            };
             if (io_ns > 0)
-                ctx_.schedule(io_ns, std::move(fin));
+                ctx_.schedule(io_ns, [this, ctx, t = busy + io_ns]() {
+                    finishCompute(ctx, t);
+                });
             else
-                fin();
+                finishCompute(ctx, busy + io_ns);
         });
         return;
       }
       case Stage::Kind::Call: {
         if (st.fanout == 0) {
-            next();
+            nextStage(ctx);
             return;
         }
         if (!st.parallel) {
-            callSequential(ctx, st, 0, std::move(next));
+            callSequential(ctx, 0);
             return;
         }
         // The branches join as one call: their caller-side network
         // time summed, the rest of the stage's wall time as wait.
-        struct Join
-        {
-            unsigned remaining;
-            Tick net;
-            std::function<void()> next;
-        };
-        auto join =
-            std::make_shared<Join>(Join{st.fanout, 0, std::move(next)});
-        const Tick call_start = ctx_.now();
+        ctx->joinRemaining = st.fanout;
+        ctx->joinNet = 0;
+        ctx->joinStart = ctx_.now();
         for (unsigned i = 0; i < st.fanout; ++i) {
             stageCall(ctx, st, *st.callee, st.calleeSlot,
-                      [this, ctx, join, call_start](RpcStatus status, Tick,
-                                                    Tick caller_net) {
+                      [this, ctx](RpcStatus status, Tick, Tick caller_net) {
                 // A parallel fanout fails if any branch fails.
                 failSpan(ctx->span, status);
-                join->net += caller_net;
-                if (--join->remaining == 0) {
+                ctx->joinNet += caller_net;
+                if (--ctx->joinRemaining == 0) {
                     joinCall(ctx->span, RpcStatus::Ok,
-                             ctx_.now() - call_start, join->net);
-                    join->next();
+                             ctx_.now() - ctx->joinStart, ctx->joinNet);
+                    nextStage(ctx);
                 }
             });
         }
@@ -1389,7 +1395,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         const Tick d = static_cast<Tick>(
             std::max(0.0, st.delayNs.sample(rng_)));
         const bool is_net = st.delayIsNetwork;
-        ctx_.schedule(d, [ctx, d, is_net, next = std::move(next)]() mutable {
+        ctx_.schedule(d, [this, ctx, d, is_net]() {
             if (is_net) {
                 ctx->span.networkTime += d;
                 ctx->req->networkTime += d;
@@ -1397,7 +1403,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                 ctx->span.appTime += d;
                 ctx->req->appTime += d;
             }
-            next();
+            nextStage(ctx);
         });
         return;
       }
@@ -1414,7 +1420,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         // Partitioned worlds: a keyed store homed on another shard
         // cannot be touched from here — the access rides the RPC to
         // the home shard (route.storeAccess) and the outcome returns
-        // in req->remoteHit, counted in the continuation below.
+        // in req->remoteHit, counted in afterCacheLookup.
         bool remote_keyed = false;
         if (st.keyed && keyspace_) {
             const std::uint64_t key =
@@ -1438,7 +1444,7 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
                             keyspace_->sampleKey(rng_, ctx_.now()));
                     if (ctx->span.dataMisses != 255)
                         ++ctx->span.dataMisses;
-                    runTxnStage(ctx, &st, std::move(keys), std::move(next));
+                    runTxnStage(ctx, &st, std::move(keys));
                     return;
                 }
                 const Microservice::ReplicatedAccess acc =
@@ -1463,62 +1469,28 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
         } else {
             hit = rng_.bernoulli(st.hitRatio);
         }
+        ctx->cacheHit = hit;
+        ctx->cacheRemote = remote_keyed;
+        ctx->quorumDelay = quorum_delay;
+        ctx->route = route;
         // Only the cache-tier hop carries the store access; the db
         // fallthrough routes by the same key but touches no store.
         data::RouteHint cache_route = route;
         cache_route.storeAccess = remote_keyed;
         stageCall(ctx, st, *cache_tier, st.calleeSlot,
-                  [this, ctx, stage = &st, hit, remote_keyed, quorum_delay,
-                   route, next = std::move(next)](RpcStatus status, Tick wall,
-                                                  Tick caller_net) mutable {
+                  [this, ctx](RpcStatus status, Tick wall, Tick caller_net) {
             // A failed lookup is a miss first; whether it also fails
-            // the handler is decided below.
+            // the handler is decided in afterCacheLookup.
             joinCall(ctx->span, RpcStatus::Ok, wall, caller_net);
-            auto cont = [this, ctx, stage, hit, remote_keyed, route, status,
-                         next = std::move(next)]() mutable {
-                bool h = hit;
-                if (remote_keyed) {
-                    // The home shard's outcome, published in the same
-                    // event that settled the attempt. A failed RPC
-                    // counts as a miss: the reply (and the outcome)
-                    // never arrived.
-                    h = status == RpcStatus::Ok &&
-                        ctx->req->remoteHit == 2;
-                    if (h) {
-                        if (ctx->span.dataHits != 255)
-                            ++ctx->span.dataHits;
-                    } else if (ctx->span.dataMisses != 255) {
-                        ++ctx->span.dataMisses;
-                    }
-                }
-                // A failed cache lookup degrades to a miss: fall
-                // through to the backing store when one exists
-                // (cache-aside pattern); without one the failure
-                // stands.
-                if ((h && status == RpcStatus::Ok) || !stage->db) {
-                    failSpan(ctx->span, status);
-                    next();
-                    return;
-                }
-                Microservice &db = *stage->db;
-                // The backing store shards by the same key when it is
-                // ring-managed, so hot keys hammer one DB shard too.
-                stageCall(ctx, *stage, db, stage->dbSlot,
-                          [ctx, next = std::move(next)](
-                              RpcStatus status2, Tick wall2,
-                              Tick caller_net2) mutable {
-                    joinCall(ctx->span, status2, wall2, caller_net2);
-                    next();
-                },
-                          db.keyedRouting() ? route : data::RouteHint{});
-            };
-            if (quorum_delay > 0 && status == RpcStatus::Ok) {
+            if (ctx->quorumDelay > 0 && status == RpcStatus::Ok) {
                 // Quorum write: the handler blocks until the W-th ack
                 // — the (W-1)-th fastest follower's apply lag.
-                ctx->span.downstreamWait += quorum_delay;
-                ctx_.schedule(quorum_delay, std::move(cont));
+                ctx->span.downstreamWait += ctx->quorumDelay;
+                ctx_.schedule(ctx->quorumDelay, [this, ctx, status]() {
+                    afterCacheLookup(ctx, status);
+                });
             } else {
-                cont();
+                afterCacheLookup(ctx, status);
             }
         },
                   cache_route);
@@ -1529,28 +1501,62 @@ App::runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
 }
 
 void
-App::callSequential(std::shared_ptr<HandlerCtx> ctx, const Stage &stage,
-                    unsigned i, std::function<void()> next)
+App::afterCacheLookup(const HandlerRef &ctx, RpcStatus status)
 {
+    const Stage &stage = currentStage(*ctx);
+    bool h = ctx->cacheHit;
+    if (ctx->cacheRemote) {
+        // The home shard's outcome, published in the same event that
+        // settled the attempt. A failed RPC counts as a miss: the
+        // reply (and the outcome) never arrived.
+        h = status == RpcStatus::Ok && ctx->req->remoteHit == 2;
+        if (h) {
+            if (ctx->span.dataHits != 255)
+                ++ctx->span.dataHits;
+        } else if (ctx->span.dataMisses != 255) {
+            ++ctx->span.dataMisses;
+        }
+    }
+    // A failed cache lookup degrades to a miss: fall through to the
+    // backing store when one exists (cache-aside pattern); without
+    // one the failure stands.
+    if ((h && status == RpcStatus::Ok) || !stage.db) {
+        failSpan(ctx->span, status);
+        nextStage(ctx);
+        return;
+    }
+    Microservice &db = *stage.db;
+    // The backing store shards by the same key when it is
+    // ring-managed, so hot keys hammer one DB shard too.
+    stageCall(ctx, stage, db, stage.dbSlot,
+              [this, ctx](RpcStatus status2, Tick wall2, Tick caller_net2) {
+        joinCall(ctx->span, status2, wall2, caller_net2);
+        nextStage(ctx);
+    },
+              db.keyedRouting() ? ctx->route : data::RouteHint{});
+}
+
+void
+App::callSequential(const HandlerRef &ctx, unsigned i)
+{
+    const Stage &stage = currentStage(*ctx);
     if (i >= stage.fanout) {
-        next();
+        nextStage(ctx);
         return;
     }
     stageCall(ctx, stage, *stage.callee, stage.calleeSlot,
-              [this, ctx, stage = &stage, i,
-               next = std::move(next)](RpcStatus status, Tick wall,
-                                       Tick caller_net) mutable {
+              [this, ctx, i](RpcStatus status, Tick wall, Tick caller_net) {
         joinCall(ctx->span, status, wall, caller_net);
         if (status != RpcStatus::Ok)
-            next(); // skip the remaining calls
+            nextStage(ctx); // skip the remaining calls
         else
-            callSequential(ctx, *stage, i + 1, std::move(next));
+            callSequential(ctx, i + 1);
     });
 }
 
 void
-App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
-                 std::vector<std::uint64_t> keys, std::function<void()> next)
+App::runTxnStage(const HandlerRef &ctx, const Stage *stage,
+                 std::vector<std::uint64_t> keys)
 {
     Microservice *cache_tier = stage->callee;
     if (rpcTxnStarted_)
@@ -1584,8 +1590,6 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
     };
     auto st = std::make_shared<TxnState>();
     st->remaining = static_cast<unsigned>(group_keys.size());
-    auto next_shared =
-        std::make_shared<std::function<void()>>(std::move(next));
 
     App *app = this;
     Microservice *tier = cache_tier;
@@ -1595,8 +1599,7 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
     // The coordinator's decision point: fired once, by the last
     // prepare ack or by the abort timer — whichever comes first.
     auto settle = std::make_shared<std::function<void(bool)>>();
-    *settle = [app, ctx, tier, stg, st, group_keys, primary,
-               next_shared](bool ok) {
+    *settle = [app, ctx, tier, stg, st, group_keys, primary](bool ok) {
         if (st->settled)
             return;
         st->settled = true;
@@ -1605,7 +1608,7 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
                 app->rpcTxnAborts_->inc();
             tier->noteTxnAbort();
             failSpan(ctx->span, RpcStatus::TxnAborted);
-            (*next_shared)();
+            app->nextStage(ctx);
         };
         if (!ok) {
             abort_txn();
@@ -1631,10 +1634,10 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
         }
         if (app->rpcTxnCommits_)
             app->rpcTxnCommits_->inc();
-        auto after = [app, ctx, stg, primary, next_shared]() {
+        auto after = [app, ctx, stg, primary]() {
             Microservice *db = stg->db;
             if (!db) {
-                (*next_shared)();
+                app->nextStage(ctx);
                 return;
             }
             // Write-through: the transaction's primary key carries the
@@ -1644,10 +1647,10 @@ App::runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
                     ? data::RouteHint{primary, true, true}
                     : data::RouteHint{};
             app->stageCall(ctx, *stg, *db, stg->dbSlot,
-                           [ctx, next_shared](RpcStatus status2, Tick wall2,
-                                              Tick caller_net2) {
+                           [app, ctx](RpcStatus status2, Tick wall2,
+                                      Tick caller_net2) {
                 joinCall(ctx->span, status2, wall2, caller_net2);
-                (*next_shared)();
+                app->nextStage(ctx);
             },
                            db_route);
         };
@@ -1704,6 +1707,19 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
 
     const trace::SpanId client_span_id = ids_.nextSpan();
 
+    RpcDone finish;
+    if (done)
+        finish = [this, req, client_span_id,
+                  done = std::move(done)](RpcStatus status, Tick,
+                                          Tick caller_net) {
+            finishRequest(*req, client_span_id, status, caller_net);
+            done(*req);
+        };
+    else
+        finish = [this, req, client_span_id](RpcStatus status, Tick,
+                                             Tick caller_net) {
+            finishRequest(*req, client_span_id, status, caller_net);
+        };
     rpcCall({.callerServer = clientServer_->id(),
              .callerInst = nullptr,
              .target = entry_,
@@ -1714,49 +1730,50 @@ App::inject(unsigned query_type, std::uint64_t user_id, CompletionFn done)
              .respBytes = config_.clientResponseBytes,
              .carriesMedia = true,
              .route = {}},
-            [this, req, client_span_id,
-             done = std::move(done)](RpcStatus status, Tick,
-                                     Tick caller_net) {
-        req->completeTime = ctx_.now();
-        if (status != RpcStatus::Ok) {
-            // The entry RPC failed after all client-side resilience was
-            // exhausted: a user-visible error, distinct from a silent
-            // legacy queue drop.
-            req->failStatus = static_cast<std::uint8_t>(status);
-            requestsFailed_->inc();
-        } else if (req->dropped) {
-            droppedRequests_->inc();
-        } else {
-            completed_->inc();
-            const Tick lat = req->latency();
-            e2eLatency_.record(lat);
-            e2eByQuery_[req->queryType]->record(lat);
-            if (lat <= config_.qosLatency)
-                completedInQos_->inc();
-            totalNetworkTime_ += static_cast<double>(req->networkTime);
-            totalAppTime_ += static_cast<double>(req->appTime);
-        }
-        if (obsTap_)
-            obsTap_->onEndToEnd(req->latency(),
-                                status == RpcStatus::Ok && !req->dropped);
-        if (config_.tracing) {
-            trace::Span client_span;
-            client_span.traceId = req->traceId;
-            client_span.spanId = client_span_id;
-            client_span.parentSpanId = trace::kNoParent;
-            client_span.service = clientServiceId_;
-            client_span.queryType = req->queryType;
-            client_span.start = req->injectTime;
-            client_span.end = req->completeTime;
-            client_span.networkTime = caller_net;
-            client_span.status = static_cast<std::uint8_t>(status);
-            client_span.attempt = static_cast<std::uint8_t>(
-                std::min<std::uint32_t>(req->retries + 1, 255));
-            collector_.collect(client_span);
-        }
-        if (done)
-            done(*req);
-    });
+            std::move(finish));
+}
+
+void
+App::finishRequest(Request &req, trace::SpanId client_span_id,
+                   RpcStatus status, Tick caller_net)
+{
+    req.completeTime = ctx_.now();
+    if (status != RpcStatus::Ok) {
+        // The entry RPC failed after all client-side resilience was
+        // exhausted: a user-visible error, distinct from a silent
+        // legacy queue drop.
+        req.failStatus = static_cast<std::uint8_t>(status);
+        requestsFailed_->inc();
+    } else if (req.dropped) {
+        droppedRequests_->inc();
+    } else {
+        completed_->inc();
+        const Tick lat = req.latency();
+        e2eLatency_.record(lat);
+        e2eByQuery_[req.queryType]->record(lat);
+        if (lat <= config_.qosLatency)
+            completedInQos_->inc();
+        totalNetworkTime_ += static_cast<double>(req.networkTime);
+        totalAppTime_ += static_cast<double>(req.appTime);
+    }
+    if (obsTap_)
+        obsTap_->onEndToEnd(req.latency(),
+                            status == RpcStatus::Ok && !req.dropped);
+    if (config_.tracing) {
+        trace::Span client_span;
+        client_span.traceId = req.traceId;
+        client_span.spanId = client_span_id;
+        client_span.parentSpanId = trace::kNoParent;
+        client_span.service = clientServiceId_;
+        client_span.queryType = req.queryType;
+        client_span.start = req.injectTime;
+        client_span.end = req.completeTime;
+        client_span.networkTime = caller_net;
+        client_span.status = static_cast<std::uint8_t>(status);
+        client_span.attempt = static_cast<std::uint8_t>(
+            std::min<std::uint32_t>(req.retries + 1, 255));
+        collector_.collect(client_span);
+    }
 }
 
 const Histogram &

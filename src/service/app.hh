@@ -18,14 +18,15 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/callback.hh"
 #include "core/histogram.hh"
 #include "core/metrics.hh"
+#include "core/pool.hh"
 #include "core/rng.hh"
 #include "core/sim_context.hh"
 #include "core/types.hh"
@@ -38,23 +39,14 @@
 #include "rpc/resilience.hh"
 #include "service/microservice.hh"
 #include "service/request.hh"
+#include "service/rpc_state.hh"
 #include "trace/analysis.hh"
 #include "trace/collector.hh"
 
 namespace uqsim::service {
 
-struct HandlerCtx;
-struct AttemptState;
-
 /** Completion callback for end-to-end requests. */
-using CompletionFn = std::function<void(const Request &)>;
-
-/** Outcome of one RPC (alias of the span status vocabulary). */
-using RpcStatus = trace::SpanStatus;
-
-/** Completion callback of one RPC as seen by the caller. */
-using RpcDone = std::function<void(RpcStatus status, Tick wall,
-                                   Tick caller_net)>;
+using CompletionFn = Callback<void(const Request &)>;
 
 /**
  * Interface the fault-injection engine implements to fail individual
@@ -97,26 +89,22 @@ class ObsTap
     virtual void onAdmissionReject(const Microservice &svc) = 0;
 };
 
-/** Payload and on-the-wire sizes of one RPC's request and reply. */
-struct RpcBytes
-{
-    Bytes reqPayload = 0;
-    Bytes respPayload = 0;
-    Bytes reqWire = 0;
-    Bytes respWire = 0;
-};
-
 /**
  * One RPC marshalled across shards of a partitioned world: a caller
  * shard invoking a tier homed elsewhere. Plain values only — the two
  * shards share no object graph, so the call carries the request's
- * identity, payload sizes and the key route, never pointers. Every
- * shard builds the identical service graph, so `tier` (the target's
- * insertion-order index) resolves to the same tier everywhere.
+ * identity, payload sizes and the key route, never pointers or
+ * counted handles. Every shard builds the identical service graph, so
+ * `tier` (the target's insertion-order index) resolves to the same
+ * tier everywhere. The reply goes back to (`srcShard`, `replySlot`)
+ * and is dropped there unless `replyTag` still names the slot's
+ * attempt: a late reply to a settled attempt finds it gone.
  */
 struct RemoteCall
 {
     unsigned srcShard = 0;
+    std::uint32_t replySlot = 0;
+    std::uint64_t replyTag = 0;
     unsigned tier = 0;
     std::uint64_t requestId = 0;
     unsigned queryType = 0;
@@ -335,11 +323,9 @@ class App
      * Serve one marshalled call on this (the target tier's home)
      * shard: rebuild a shard-local Request, perform the keyed store
      * access when the route asks for one, run the tier's handler, and
-     * hand the accounting delta to @p done — which posts it back to
-     * the calling shard.
+     * post the accounting delta back to the calling shard's app.
      */
-    void serveRemote(const RemoteCall &call,
-                     std::function<void(const RemoteDelta &)> done);
+    void serveRemote(const RemoteCall &call);
 
     // -- Admission control / QoS classes ----------------------------------
 
@@ -449,37 +435,20 @@ class App
     void statReset();
 
   private:
-    /** The attempt state (app.cc) carries its call. */
-    friend struct AttemptState;
-
-    /**
-     * One RPC as its caller issued it: who calls which tier for which
-     * request, with what payloads. Every attempt of the call shares it.
-     */
-    struct RpcCall
-    {
-        unsigned callerServer = 0;
-        /** Calling instance; null for the end-user client. */
-        Instance *callerInst = nullptr;
-        Microservice *target = nullptr;
-        /** The caller's edge to the target (pool and breaker). */
-        Edge *edge = nullptr;
-        RequestPtr req;
-        trace::SpanId parentSpan = 0;
-        /** Payload overrides (0 = the target's defaults). */
-        Bytes reqBytes = 0;
-        Bytes respBytes = 0;
-        bool carriesMedia = false;
-        /** Keyed mode: address the key's shard, not userId/round robin. */
-        data::RouteHint route;
-    };
-
     /** Which way a kernel network leg moves a message. */
     enum class LegDir { Send, Receive };
 
+    /** An attempt waiting for its cross-shard reply (remoteAttempt). */
+    struct Awaiting
+    {
+        AttemptRef as;
+        /** RemoteCall::replyTag of this wait. */
+        std::uint64_t tag = 0;
+    };
+
     /**
      * Issue one RPC, applying the target's resilience policy (deadline
-     * check, breaker gate, retry loop around rpcAttempt). With an
+     * check, breaker gate, retry loop around each attempt). With an
      * inactive policy this is a passthrough to a single attempt — the
      * legacy fire-and-wait path. @p done fires back on the caller with
      * the outcome and wall time.
@@ -487,16 +456,9 @@ class App
     void rpcCall(RpcCall call, RpcDone done);
 
     /** Issue @p stage's RPC to @p target over the caller's edge @p slot. */
-    void stageCall(const std::shared_ptr<HandlerCtx> &ctx,
-                   const Stage &stage, Microservice &target, unsigned slot,
-                   RpcDone done, data::RouteHint route = {});
-
-    /**
-     * Attempt @p attempt_no of a resilient call; after a retryable
-     * failure, back off and recurse with the next attempt number.
-     */
-    void retryAttempt(RpcCall call, rpc::CircuitBreaker *br,
-                      unsigned attempt_no, RpcDone done);
+    void stageCall(const HandlerRef &ctx, const Stage &stage,
+                   Microservice &target, unsigned slot, RpcDone done,
+                   data::RouteHint route = {});
 
     /**
      * Deadline and breaker gate in front of an attempt; counts a
@@ -505,42 +467,76 @@ class App
     RpcStatus gateAttempt(const Request &req, rpc::CircuitBreaker *br);
 
     /**
-     * One attempt of an RPC: size it, arm its timeout, take a pooled
-     * connection and run the caller's send leg, then routeAttempt.
+     * A fresh, unstarted attempt @p attempt_no of @p call. A
+     * @p resilient attempt settles into retryOrFinish(), which may
+     * start the next attempt.
      */
-    void rpcAttempt(const RpcCall &call, unsigned attempt_no, RpcDone done);
+    AttemptRef newAttempt(RpcCall call, unsigned attempt_no,
+                          rpc::CircuitBreaker *br, bool resilient,
+                          RpcDone done);
+
+    /**
+     * Start @p as: size it, arm its timeout, take a pooled connection
+     * and run the caller's send leg, then routeAttempt.
+     */
+    void startAttempt(const AttemptRef &as);
+
+    /**
+     * The resilience loop after a settled attempt: record it with the
+     * breaker, then finish the call or back off and retry it.
+     */
+    void retryOrFinish(AttemptState &as, RpcStatus status, Tick wall);
 
     /**
      * A sent attempt: pick the serving instance and carry the request
      * there over the fabric, or hand it to remoteAttempt when the
      * target is homed on another shard.
      */
-    void routeAttempt(const std::shared_ptr<AttemptState> &as);
+    void routeAttempt(const AttemptRef &as);
+
+    /** A local attempt landed at its target: serve the hop there. */
+    void serveLocal(const AttemptRef &as);
 
     /**
      * Cross-shard transport of a sent attempt: charge the forward NIC
-     * and wire time, marshal the call, and post it to the target
-     * tier's home shard; that shard's serveRemote posts the delta
-     * back, where it merges into the request before receiveReply.
+     * and wire time, park the attempt in awaiting_, marshal the call,
+     * and post it to the target tier's home shard; that shard's
+     * serveRemote posts the delta back to onRemoteReply.
      */
-    void remoteAttempt(const std::shared_ptr<AttemptState> &as);
+    void remoteAttempt(const AttemptRef &as);
+
+    /**
+     * A cross-shard reply landed: unless its attempt settled meanwhile,
+     * merge the delta into the request and run receiveReply.
+     */
+    void onRemoteReply(std::uint32_t slot, std::uint64_t tag,
+                       const RemoteDelta &d);
 
     /**
      * The caller's reply-receive leg, then settle the attempt with
      * @p status (publishing a remote keyed-store outcome first).
      */
-    void receiveReply(const std::shared_ptr<AttemptState> &as,
-                      RpcStatus status, std::uint8_t remote_hit);
+    void receiveReply(const AttemptRef &as, RpcStatus status,
+                      std::uint8_t remote_hit);
 
     /**
      * The callee side of one hop, shared by local and cross-shard
-     * calls: receive leg at @p inst, admission and handling, reply
-     * leg and span close; @p reply then carries @p status back.
+     * calls: receive leg at the context's instance, then admission
+     * and handling; respond() carries the reply back.
      */
-    void serveHop(Instance &inst, RequestPtr req, trace::SpanId parent_span,
-                  unsigned attempt_no, const RpcBytes &bytes,
-                  std::shared_ptr<bool> abandoned,
-                  std::function<void(RpcStatus)> reply);
+    void serveHop(const HandlerRef &ctx);
+
+    /**
+     * The callee's reply leg with @p status, then the span close and
+     * replyToCaller.
+     */
+    void respond(const HandlerRef &ctx, RpcStatus status);
+
+    /**
+     * Carry a served hop's reply to its caller: over the fabric to a
+     * local attempt, or as a delta posted to the calling shard.
+     */
+    void replyToCaller(const HandlerRef &ctx);
 
     /**
      * One kernel network leg: (de)serialization plus kernel TCP (or
@@ -548,13 +544,13 @@ class App
      * mode, with the busy time added to @p req's network and TCP
      * time. A caller-side leg passes its attempt @p as: the time then
      * also counts as caller network, and nothing happens once the
-     * attempt has settled. @p done receives the busy time.
+     * attempt has settled. @p done receives the busy time and must
+     * hold a handle that keeps @p req and @p as alive.
      */
     template <typename Done>
     void netLeg(cpu::Server &server, Microservice *svc,
                 const rpc::ProtocolModel &proto, LegDir dir, Bytes payload,
-                Bytes wire, RequestPtr req, std::shared_ptr<AttemptState> as,
-                Done done);
+                Bytes wire, Request &req, AttemptState *as, Done done);
 
     /**
      * Carry a local attempt's message of @p wire bytes over the
@@ -564,7 +560,7 @@ class App
      */
     template <typename Done>
     void wireLeg(unsigned from, unsigned to, Bytes wire,
-                 std::shared_ptr<AttemptState> as, Done done);
+                 const AttemptRef &as, Done done);
 
     /** Settle one attempt exactly once and fire its completion. */
     void settleAttempt(AttemptState &as, RpcStatus status);
@@ -577,15 +573,11 @@ class App
     /** Fail every tracked in-flight attempt (crash tracking only). */
     void failInFlight(Instance &inst);
 
-    /** Arrival at the chosen instance after receive processing. */
-    void
-    deliverToInstance(Instance &inst, RequestPtr req,
-                      trace::SpanId parent_span, Tick pre_network,
-                      unsigned attempt_no,
-                      std::shared_ptr<bool> abandoned,
-                      std::function<void(std::shared_ptr<HandlerCtx>,
-                                         RpcStatus)>
-                          respond);
+    /**
+     * Arrival at the context's instance after @p pre_network ticks of
+     * receive processing: refuse it, or queue it for a worker.
+     */
+    void deliverToInstance(const HandlerRef &ctx, Tick pre_network);
 
     /**
      * Close a served span after its reply leg: stamp the end, record
@@ -596,16 +588,33 @@ class App
     /** Start handling queued work if threads are available. */
     void maybeStartHandling(Instance &inst);
 
-    /** Interpret stage @p idx of the handler program. */
-    void runStage(std::shared_ptr<HandlerCtx> ctx, std::size_t idx,
-                  std::function<void()> done);
+    /**
+     * Interpret stage @p idx of the handler program; past the last
+     * stage (or after a failure) finish the handler.
+     */
+    void runStage(const HandlerRef &ctx, std::size_t idx);
+
+    /** Continue with the stage after the current one. */
+    void nextStage(const HandlerRef &ctx) { runStage(ctx, ctx->stage + 1); }
+
+    /** The handler program is done: free the thread and reply. */
+    void finishHandler(const HandlerRef &ctx);
+
+    /** A compute stage took @p t of app time. */
+    void finishCompute(const HandlerRef &ctx, Tick t);
 
     /**
-     * Call @p i of a sequential fanout stage, then the next one; the
-     * first failure skips the rest and continues with @p next.
+     * Call @p i of the current sequential fanout stage, then the next
+     * one; the first failure skips the rest of the stage.
      */
-    void callSequential(std::shared_ptr<HandlerCtx> ctx, const Stage &stage,
-                        unsigned i, std::function<void()> next);
+    void callSequential(const HandlerRef &ctx, unsigned i);
+
+    /**
+     * The cache lookup of the current stage returned @p status:
+     * count a remote outcome, then continue, or fall through to the
+     * backing store on a miss or failure.
+     */
+    void afterCacheLookup(const HandlerRef &ctx, RpcStatus status);
 
     /**
      * Drive one 2PC multi-partition transaction from a write-tagged
@@ -613,9 +622,12 @@ class App
      * under a coordinator abort timer, then commit (apply all writes,
      * wait out the slowest quorum ack) or mark the handler TxnAborted.
      */
-    void runTxnStage(std::shared_ptr<HandlerCtx> ctx, const Stage *stage,
-                     std::vector<std::uint64_t> keys,
-                     std::function<void()> next);
+    void runTxnStage(const HandlerRef &ctx, const Stage *stage,
+                     std::vector<std::uint64_t> keys);
+
+    /** Account a finished end-to-end request and its client span. */
+    void finishRequest(Request &req, trace::SpanId client_span_id,
+                       RpcStatus status, Tick caller_net);
 
     /** Charge a compute task's cycles to user/lib modes. */
     void chargeCompute(Microservice &svc, double cycles, double ipc);
@@ -661,6 +673,14 @@ class App
     /** Replica groups armed (enableReplication called). */
     bool replicationEnabled_ = false;
     replica::ReplicationConfig replicationConfig_;
+
+    /** Attempts and handler contexts of this shard (rpc_state.hh). */
+    Pool<AttemptState> attempts_;
+    Pool<HandlerCtx> handlers_;
+    /** Attempts awaiting a cross-shard reply, by RemoteCall::replySlot. */
+    SlotTable<Awaiting> awaiting_;
+    /** Last RemoteCall::replyTag handed out. */
+    std::uint64_t lastReplyTag_ = 0;
 
     MetricsRegistry metrics_;
     trace::TraceStore traceStore_;

@@ -12,7 +12,6 @@
 #define UQSIM_SERVICE_MICROSERVICE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "core/histogram.hh"
+#include "core/ring.hh"
 #include "core/stats.hh"
 #include "core/types.hh"
 #include "data/cache_model.hh"
@@ -34,14 +34,13 @@
 #include "service/admission.hh"
 #include "service/handler.hh"
 #include "service/request.hh"
+#include "service/rpc_state.hh"
 #include "trace/span.hh"
 
 namespace uqsim::service {
 
 class App;
 class Microservice;
-struct AttemptState;
-struct HandlerCtx;
 
 /** Deployment/statefulness class of a tier. */
 enum class ServiceKind
@@ -206,26 +205,12 @@ class Instance
     friend class Microservice;
     friend struct AttemptState;
 
-    /** A request parked in the instance queue. */
-    struct Arrival
-    {
-        RequestPtr req;
-        trace::SpanId parentSpan = trace::kNoParent;
-        Tick enqueued = 0;
-        /** Network processing charged to this span before handling. */
-        Tick preNetworkTime = 0;
-        /** 1-based attempt number of the RPC being served. */
-        std::uint8_t attempt = 1;
-        /**
-         * Shared settle flag of the caller's attempt: set once the
-         * caller timed out / gave up, so the work can be skipped.
-         * Null on the legacy (no-resilience) path.
-         */
-        std::shared_ptr<bool> abandoned;
-        /** Continuation delivering the response to the caller side. */
-        std::function<void(std::shared_ptr<HandlerCtx>, trace::SpanStatus)>
-            respondCtx;
-    };
+    /**
+     * A request parked in the instance queue: its handler context,
+     * which carries the span parent, arrival time, receive-leg time,
+     * attempt number and the caller's attempt (see rpc_state.hh).
+     */
+    using Arrival = HandlerRef;
 
     Microservice &svc_;
     unsigned idx_;
@@ -240,7 +225,7 @@ class Instance
     std::vector<AttemptState *> inflight_;
 
     unsigned freeThreads_;
-    std::deque<Arrival> queue_;
+    Ring<Arrival> queue_;
 
     /**
      * Multi-class admission queue; null until App::enableQos. While
